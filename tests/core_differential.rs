@@ -1,19 +1,21 @@
-//! Byte-identity contract between the two SM core models.
+//! Frozen reference footprints for the SM core.
 //!
-//! The event-driven core (`CoreModel::EventDriven`, the default) skips
-//! cycles in which no SM can make progress; the cycle-stepped core
-//! (`CoreModel::CycleStepped`) is the original loop that steps every
-//! resident SM every cycle. The redesign's promise is that the fast core
-//! is an *observationally invisible* optimization: for any workload, the
-//! serialized `LaunchStats` JSON, the full trace event stream, and the
-//! output memory must be byte-identical between the two.
+//! `tests/golden/core_reference.json` holds, per workload, the verbatim
+//! `LaunchStats::to_json`, the event count and an FNV-1a/128 digest of
+//! the full trace event stream (each event's `Debug` rendering plus a
+//! newline), and an FNV-1a/128 digest of the output bytes. The file was
+//! written while the event-driven core and the original cycle-stepped
+//! core both existed and agreed on every entry; these tests run both
+//! cores, require them to agree, and compare the result with the file.
 //!
 //! Workloads covered here:
 //! * every committed fuzzer corpus case (`tests/corpus/*.case`) — SIMT
 //!   and WMMA kernels on the Volta and Turing mini configs;
 //! * Fig 14a-style WMMA GEMMs (simple and shared-memory kernels) and
-//!   Fig 17-style CUDA-core GEMMs (SGEMM/HGEMM) on both the mini and the
-//!   full Titan V configuration.
+//!   Fig 17-style CUDA-core GEMMs (SGEMM/HGEMM) on the mini config, an
+//!   INT8 WMMA GEMM on the Turing mini config, and the full Titan V
+//!   configuration;
+//! * the Titan V pointer chase.
 
 use std::path::Path;
 use tcsim::cutlass::{run_gemm, GemmKernel, GemmPrecision, GemmProblem};
@@ -21,12 +23,35 @@ use tcsim::sim::{CoreModel, Gpu, GpuConfig, LaunchBuilder, SimOptions};
 use tcsim::trace::{RingTracer, TraceEvent};
 use tcsim_check::corpus::case_from_text;
 use tcsim_check::oracle::{gpu_config, Case};
+use tcsim_serve::fnv128_hex;
+use tcsim_serve::hash::Fnv128;
+
+const GOLDEN: &str = "tests/golden/core_reference.json";
 
 /// One run's full observable footprint.
+#[derive(PartialEq)]
 struct Footprint {
     stats_json: String,
     events: Vec<TraceEvent>,
     output: Vec<u8>,
+}
+
+impl Footprint {
+    /// This run's golden-file line.
+    fn entry(&self, workload: &str) -> String {
+        let mut trace = Fnv128::new();
+        for e in &self.events {
+            trace.update(format!("{e:?}\n").as_bytes());
+        }
+        format!(
+            "{{\"workload\":\"{workload}\",\"events\":{},\"trace_fnv\":\"{}\",\
+             \"output_fnv\":\"{}\",\"stats\":{}}}",
+            self.events.len(),
+            trace.hex(),
+            fnv128_hex(&self.output),
+            self.stats_json
+        )
+    }
 }
 
 fn gpu_with(cfg: GpuConfig, core: CoreModel) -> Gpu {
@@ -37,41 +62,48 @@ fn gpu_with(cfg: GpuConfig, core: CoreModel) -> Gpu {
     )
 }
 
-/// Asserts every observable byte agrees, with a first-divergence
-/// diagnostic on the trace stream (the densest of the three views).
-fn assert_identical(label: &str, event: &Footprint, cycle: &Footprint) {
-    if event.events != cycle.events {
-        let n = event.events.len().min(cycle.events.len());
-        let first = (0..n)
-            .find(|&i| event.events[i] != cycle.events[i])
-            .unwrap_or(n);
-        let lo = first.saturating_sub(2);
-        let mut msg = format!(
-            "{label}: trace streams diverge at event {first} \
-             (event-driven has {}, cycle-stepped has {})\n",
-            event.events.len(),
-            cycle.events.len()
-        );
-        for i in lo..(first + 3).min(n) {
+/// Runs `run` on both cores, requires byte-identical footprints and
+/// returns the golden line.
+fn reference(workload: &str, run: impl Fn(CoreModel) -> Footprint) -> String {
+    let event = run(CoreModel::EventDriven);
+    let cycle = run(CoreModel::CycleStepped);
+    assert!(
+        !event.events.is_empty(),
+        "{workload}: a traced launch must produce events"
+    );
+    assert!(event == cycle, "{workload}: the two cores disagree");
+    event.entry(workload)
+}
+
+/// Compares the computed lines of one workload group (`corpus/`,
+/// `gemm/`, `chase/`) with the committed ones, in order.
+fn check_group(group: &str, computed: &[String]) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+    let text = std::fs::read_to_string(&path).expect("committed core reference");
+    let prefix = format!("{{\"workload\":\"{group}");
+    let golden: Vec<&str> = text
+        .lines()
+        .map(|l| l.trim_end_matches(','))
+        .filter(|l| l.starts_with(&prefix))
+        .collect();
+    let mut msg = String::new();
+    for i in 0..golden.len().max(computed.len()) {
+        let (want, got) = (golden.get(i).copied(), computed.get(i).map(String::as_str));
+        if want != got {
             msg.push_str(&format!(
-                "  [{i}] event-driven: {:?}\n        cycle-stepped: {:?}\n",
-                event.events.get(i),
-                cycle.events.get(i)
+                "entry {i}:\n  golden:   {}\n  computed: {}\n",
+                want.unwrap_or("<none>"),
+                got.unwrap_or("<none>")
             ));
         }
-        panic!("{msg}");
     }
-    assert_eq!(
-        event.stats_json, cycle.stats_json,
-        "{label}: LaunchStats JSON must be byte-identical"
-    );
-    assert_eq!(
-        event.output, cycle.output,
-        "{label}: output memory must agree"
+    assert!(
+        msg.is_empty(),
+        "{group} entries differ from {GOLDEN}:\n{msg}"
     );
 }
 
-/// Runs a corpus case on the chosen core, mirroring the oracle driver.
+/// Runs a corpus case, mirroring the oracle driver.
 fn run_case(case: &Case, core: CoreModel) -> Footprint {
     let mut gpu = gpu_with(gpu_config(case.arch), core);
     let in_addr = gpu.alloc(u64::from(case.in_words) * 4);
@@ -93,7 +125,6 @@ fn run_case(case: &Case, core: CoreModel) -> Footprint {
 #[test]
 fn corpus_cases_are_core_model_invariant() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let mut cases = 0;
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .expect("committed corpus directory")
         .filter_map(|e| e.ok())
@@ -101,22 +132,25 @@ fn corpus_cases_are_core_model_invariant() {
         .filter(|p| p.extension().is_some_and(|x| x == "case"))
         .collect();
     files.sort();
-    for path in files {
-        let text = std::fs::read_to_string(&path).expect("readable case");
-        let case = case_from_text(&text).expect("parsable case");
-        let event = run_case(&case, CoreModel::EventDriven);
-        let cycle = run_case(&case, CoreModel::CycleStepped);
-        assert!(
-            !event.events.is_empty(),
-            "{}: a traced launch must produce events",
-            path.display()
-        );
-        assert_identical(&path.display().to_string(), &event, &cycle);
-        cases += 1;
-    }
-    assert!(cases >= 5, "expected the seed corpus, found {cases} cases");
+    assert!(
+        files.len() >= 5,
+        "expected the seed corpus, found {} cases",
+        files.len()
+    );
+    let entries: Vec<String> = files
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path).expect("readable case");
+            let case = case_from_text(&text).expect("parsable case");
+            let stem = path.file_stem().expect("case file name").to_string_lossy();
+            reference(&format!("corpus/{stem}"), |core| run_case(&case, core))
+        })
+        .collect();
+    check_group("corpus/", &entries);
 }
 
+/// Runs one GEMM; the output is every device byte the run allocated
+/// (operands and result).
 fn run_gemm_on(cfg: &GpuConfig, size: usize, kernel: GemmKernel, core: CoreModel) -> Footprint {
     let mut gpu = gpu_with(cfg.clone(), core);
     let precision = match kernel {
@@ -130,10 +164,12 @@ fn run_gemm_on(cfg: &GpuConfig, size: usize, kernel: GemmKernel, core: CoreModel
         ..GemmProblem::square(size)
     };
     let run = run_gemm(&mut gpu, problem, kernel, false);
+    let base = Gpu::new(cfg.clone()).alloc(1);
+    let end = gpu.alloc(1);
     Footprint {
         stats_json: run.stats.to_json(),
         events: gpu.trace_events(),
-        output: Vec::new(),
+        output: gpu.memcpy_d2h(base, (end - base) as usize),
     }
 }
 
@@ -143,6 +179,9 @@ fn gemm_workloads_are_core_model_invariant() {
     // at debug-friendly sizes; mini exercises both schedulers cheaply,
     // Titan V exercises the full 80-SM / sectored-L2 configuration.
     let mini = GpuConfig::mini();
+    let turing = gpu_config(tcsim_check::gen::Arch::Turing);
+    let titan = GpuConfig::titan_v();
+    let mut runs: Vec<(&str, &GpuConfig, GemmKernel, usize)> = Vec::new();
     for kernel in [
         GemmKernel::WmmaSimple,
         GemmKernel::WmmaShared,
@@ -150,36 +189,27 @@ fn gemm_workloads_are_core_model_invariant() {
         GemmKernel::Hgemm,
     ] {
         for size in [32usize, 64] {
-            let label = format!("mini/{kernel:?}/{size}");
-            let event = run_gemm_on(&mini, size, kernel, CoreModel::EventDriven);
-            let cycle = run_gemm_on(&mini, size, kernel, CoreModel::CycleStepped);
-            assert!(
-                !event.events.is_empty(),
-                "{label}: traced GEMM must emit events"
-            );
-            assert_identical(&label, &event, &cycle);
+            runs.push(("mini", &mini, kernel, size));
         }
     }
     // INT8 WMMA needs Turing tensor cores.
-    {
-        let turing = gpu_config(tcsim_check::gen::Arch::Turing);
-        let label = "mini-turing/IgemmWmma/32";
-        let event = run_gemm_on(&turing, 32, GemmKernel::IgemmWmma, CoreModel::EventDriven);
-        let cycle = run_gemm_on(&turing, 32, GemmKernel::IgemmWmma, CoreModel::CycleStepped);
-        assert_identical(label, &event, &cycle);
-    }
-    let titan = GpuConfig::titan_v();
+    runs.push(("mini-turing", &turing, GemmKernel::IgemmWmma, 32));
     for kernel in [GemmKernel::WmmaShared, GemmKernel::Sgemm] {
-        let label = format!("titan_v/{kernel:?}/64");
-        let event = run_gemm_on(&titan, 64, kernel, CoreModel::EventDriven);
-        let cycle = run_gemm_on(&titan, 64, kernel, CoreModel::CycleStepped);
-        assert_identical(&label, &event, &cycle);
+        runs.push(("titan_v", &titan, kernel, 64));
     }
+    let entries: Vec<String> = runs
+        .into_iter()
+        .map(|(name, cfg, kernel, size)| {
+            reference(&format!("gemm/{name}/{kernel:?}/{size}"), |core| {
+                run_gemm_on(cfg, size, kernel, core)
+            })
+        })
+        .collect();
+    check_group("gemm/", &entries);
 }
 
-/// The pointer-chase microbenchmark is the workload the event core skips
-/// the most steps on (hundreds of blocked cycles per instruction), so it
-/// gets its own byte-identity lock beyond the bench binary's assertion.
+/// The pointer-chase microbenchmark: the workload the event core skips
+/// the most steps on (hundreds of blocked cycles per instruction).
 fn run_chase(core: CoreModel) -> Footprint {
     use tcsim::cutlass::microbench::{chase_chain, pointer_chase};
     let elems: usize = 1 << 12;
@@ -197,22 +227,21 @@ fn run_chase(core: CoreModel) -> Footprint {
         .param_u64(buf)
         .param_u64(out)
         .launch(&mut gpu);
+    let output = gpu.memcpy_d2h(out, (warps * 8) as usize);
+    // Every warp must have stored a final in-bounds chain pointer.
+    for slot in output.chunks_exact(8) {
+        let ptr = u64::from_le_bytes(slot.try_into().expect("8-byte slot"));
+        assert!(ptr != 0, "warp never stored its final pointer");
+    }
     Footprint {
         stats_json: stats.to_json(),
         events: gpu.trace_events(),
-        output: gpu.memcpy_d2h(out, (warps * 8) as usize),
+        output,
     }
 }
 
 #[test]
 fn pointer_chase_is_core_model_invariant() {
-    let event = run_chase(CoreModel::EventDriven);
-    let cycle = run_chase(CoreModel::CycleStepped);
-    assert!(!event.events.is_empty(), "traced chase must emit events");
-    // Every warp must have stored a final in-bounds chain pointer.
-    for slot in event.output.chunks_exact(8) {
-        let ptr = u64::from_le_bytes(slot.try_into().expect("8-byte slot"));
-        assert!(ptr != 0, "warp never stored its final pointer");
-    }
-    assert_identical("titan_v/pointer_chase", &event, &cycle);
+    let entry = reference("chase/titan_v", run_chase);
+    check_group("chase/", &[entry]);
 }
