@@ -3,11 +3,11 @@
 //!
 //! A job is the serve-layer mirror of one [`tcsim_sim::LaunchBuilder`]
 //! launch: a kernel in the workspace PTX dialect, a named GPU
-//! configuration, the `SimOptions`-relevant core-model switch, launch
-//! geometry, and the input buffer (either materialized inline or as a
-//! seeded deterministic stream shared with the `tcsim-check` case
-//! format). Kernels follow the conformance-corpus calling convention —
-//! exactly two `u64` pointer parameters, input then output.
+//! configuration, the core-model name, launch geometry, and the input
+//! buffer (either materialized inline or as a seeded deterministic
+//! stream shared with the `tcsim-check` case format). Kernels follow the
+//! conformance-corpus calling convention — exactly two `u64` pointer
+//! parameters, input then output.
 //!
 //! # Cache key
 //!
@@ -19,9 +19,9 @@
 //!    textually different submissions of the same program dedupe;
 //! 3. the full `Debug` rendering of the resolved [`GpuConfig`] (every
 //!    architectural parameter, not the registry name);
-//! 4. the core model (`event`/`cycle` — the two cores are contractually
-//!    byte-identical, but the key stays conservative so a conformance
-//!    campaign can cache both sides separately);
+//! 4. the core-model name (always `event`, the only core; it stays in
+//!    the key so keys from before the cycle-stepped core was retired
+//!    remain valid);
 //! 5. grid and block extents;
 //! 6. the **materialized input bytes** (so a seeded stream and an inline
 //!    buffer with equal contents dedupe) and the output size.
@@ -35,7 +35,7 @@ use crate::json::JsonValue;
 use tcsim_check::gen::Arch;
 use tcsim_check::oracle::{self, Case, DataKind};
 use tcsim_isa::{Dim3, Kernel};
-use tcsim_sim::{CoreModel, Gpu, GpuConfig, JsonWriter, LaunchBuilder, LaunchStats, SimOptions};
+use tcsim_sim::{CoreModel, Gpu, GpuConfig, JsonWriter, LaunchBuilder, LaunchStats};
 
 /// Hard per-job size ceilings (words of 4 bytes): admission control for
 /// memory, enforced by [`JobSpec::validate`] before anything is
@@ -152,7 +152,8 @@ pub struct JobSpec {
     pub kernel: Kernel,
     /// GPU configuration to build the fresh [`Gpu`] from.
     pub config: ConfigId,
-    /// SM-core simulation loop (`SimOptions`-relevant field).
+    /// SM-core simulation loop. The wire value is always `"event"`; any
+    /// other name is rejected as an unknown core.
     pub core: CoreModel,
     /// Grid extent in CTAs.
     pub grid: Dim3,
@@ -177,16 +178,11 @@ pub struct JobOutcome {
 fn core_name(core: CoreModel) -> &'static str {
     match core {
         CoreModel::EventDriven => "event",
-        CoreModel::CycleStepped => "cycle",
     }
 }
 
 fn core_from_name(s: &str) -> Option<CoreModel> {
-    match s {
-        "event" => Some(CoreModel::EventDriven),
-        "cycle" => Some(CoreModel::CycleStepped),
-        _ => None,
-    }
+    (s == "event").then_some(CoreModel::EventDriven)
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
@@ -212,7 +208,7 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 
 impl JobSpec {
     /// Builds a job from a conformance-suite [`Case`] (mini config for
-    /// the case's architecture, event-driven core).
+    /// the case's architecture).
     pub fn from_case(case: &Case) -> JobSpec {
         JobSpec {
             kernel: case.kernel.clone(),
@@ -292,7 +288,7 @@ impl JobSpec {
     /// serial (no-server) execution path, byte-identical to what the
     /// server's sweep workers produce.
     pub fn run(&self) -> Result<JobOutcome, String> {
-        let mut gpu = Gpu::new(SimOptions::new(self.config.to_config()).core(self.core));
+        let mut gpu = Gpu::new(self.config.to_config());
         self.run_on(&mut gpu)
     }
 
@@ -466,7 +462,6 @@ mod tests {
             let mut s = test_spec();
             s.input = InputSpec::Inline(vec![1, 2, 3, 4, 5, 6, 7, 8]);
             s.config = ConfigId::MiniTuring;
-            s.core = CoreModel::CycleStepped;
             s.grid = Dim3::new(2, 3, 1);
             s
         }] {

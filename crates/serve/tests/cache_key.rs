@@ -115,13 +115,6 @@ fn every_single_field_perturbation_changes_the_key() {
             },
         ),
         (
-            "core model",
-            JobSpec {
-                core: CoreModel::CycleStepped,
-                ..base_spec()
-            },
-        ),
-        (
             "input seed",
             JobSpec {
                 input: InputSpec::Seeded {

@@ -193,6 +193,43 @@ fn invalid_jobs_are_rejected_not_crashed() {
 }
 
 #[test]
+fn retired_cycle_core_is_rejected_and_the_server_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let (server, addr) = start(ServeOptions::default());
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut lines = BufReader::new(stream.try_clone().expect("clone stream")).lines();
+    let mut next_event = || {
+        let line = lines.next().expect("event line").expect("read event");
+        Event::from_line(&line).expect("parsable event")
+    };
+    let good = Request::Submit {
+        id: "c1".into(),
+        job: spec(1),
+    }
+    .to_line();
+    let cycle = good.replace("\"core\":\"event\"", "\"core\":\"cycle\"");
+    assert_ne!(cycle, good, "the job line names its core");
+
+    writeln!(stream, "{cycle}").expect("send cycle job");
+    let ev = next_event();
+    assert!(
+        matches!(&ev, Event::Rejected { reason, .. } if reason.contains("unknown `core`")),
+        "expected an unknown-core rejection, got {ev:?}"
+    );
+    // The connection and server survive; the same job on the event core
+    // still completes.
+    writeln!(stream, "{good}").expect("send event job");
+    loop {
+        match next_event() {
+            Event::Done { .. } => break,
+            Event::Accepted { .. } | Event::Running { .. } => {}
+            other => panic!("expected the job to complete, got {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn failed_launches_report_failed_events() {
     let (server, addr) = start(ServeOptions::default());
     let mut client = Client::connect(&addr).expect("connect");

@@ -3,13 +3,10 @@
 //! [`DecodedKernel`] pairs a [`tcsim_isa::UopStream`] with per-μop timing
 //! precomputed against one [`SmConfig`]: issue interval, result latency
 //! and register-bank conflict cycles are all static per instruction, so
-//! the per-cycle scheduler reads two small arrays instead of re-deriving
-//! them from the `Instr` (and, for bank conflicts, re-counting operand
-//! banks on every issue).
-//!
-//! Decoding is pure — it records exactly the values the cycle-stepped
-//! [`crate::Sm::step`] path computes inline, which is what makes the two
-//! issue paths cycle-identical.
+//! [`crate::Sm::step`] reads two small arrays instead of re-deriving them
+//! from the `Instr` (and, for bank conflicts, re-counting operand banks
+//! on every issue). A launch decodes its kernel once; every CTA on every
+//! SM shares the result through [`crate::LaunchSpec::uops`].
 
 use crate::config::SmConfig;
 use tcsim_core::mma_timing;

@@ -12,13 +12,12 @@
 use crate::config::{SchedPolicy, SmConfig};
 use crate::decode::DecodedKernel;
 use crate::dense_scoreboard::DenseScoreboard;
-use crate::scoreboard::Scoreboard;
 use crate::stats::{unit_index, SmStats, WmmaKind, WmmaSample};
 use std::sync::Arc;
-use tcsim_core::{mma_timing, trace_mma, TensorCoreModel};
+use tcsim_core::{trace_mma, TensorCoreModel};
 use tcsim_isa::exec::{ExecEnv, StepAction, WarpExec, FULL_MASK};
 use tcsim_isa::{
-    Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, Operand, UnitClass, WmmaDirective, WARP_SIZE,
+    Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, UnitClass, WmmaDirective, WARP_SIZE,
 };
 use tcsim_mem::{coalesce, conflict_passes, DeviceMemory, L1Path, MemSystem, SharedMemory};
 use tcsim_trace::{emit, EventKind, StallReason, TraceEvent, TraceUnit, Tracer};
@@ -33,10 +32,8 @@ pub struct LaunchSpec {
     /// Grid/block geometry.
     pub launch: LaunchConfig,
     /// The kernel decoded once into μop/timing tables (see
-    /// [`DecodedKernel`]), shared by every CTA of the launch. `None`
-    /// makes each SM decode on first CTA placement — equivalent, just
-    /// without the sharing.
-    pub uops: Option<Arc<DecodedKernel>>,
+    /// [`DecodedKernel`]), shared by every CTA of the launch.
+    pub uops: Arc<DecodedKernel>,
 }
 
 impl LaunchSpec {
@@ -69,18 +66,12 @@ struct CtaSlot {
     warp_slots: Vec<usize>,
     requirements: CtaRequirements,
     spec: LaunchSpec,
-    decoded: Arc<DecodedKernel>,
 }
 
 struct WarpSlot {
     exec: WarpExec,
-    scoreboard: Scoreboard,
-    dense: DenseScoreboard,
+    scoreboard: DenseScoreboard,
     cta: usize,
-    age: u64,
-    done: bool,
-    at_barrier: bool,
-    block_until: u64,
 }
 
 #[derive(Clone, Copy, Default)]
@@ -97,16 +88,13 @@ const WARP_DONE: u8 = 2;
 /// Warp is parked at a barrier.
 const WARP_AT_BARRIER: u8 = 4;
 
-/// Scheduling-visible warp state in structure-of-arrays form.
+/// Scheduling-visible warp state in structure-of-arrays form — the only
+/// copy of it.
 ///
-/// The candidate scan of the event-driven core touches only these three
-/// compact arrays (one byte + two words per warp slot) instead of
-/// dereferencing the multi-kilobyte [`WarpSlot`] (register file, two
-/// scoreboards) per slot per cycle. The arrays mirror the authoritative
-/// fields in [`WarpSlot`]; every site that mutates `done`, `at_barrier`
-/// or `block_until` updates the mirror in the same statement block, and
-/// the cycle-identity suite (`tests/core_differential.rs`) checks the
-/// two views never diverge observably.
+/// The candidate scan touches only these three compact arrays (one byte
+/// and two words per warp slot) instead of dereferencing the
+/// multi-kilobyte [`WarpSlot`] (register file, scoreboard) per slot per
+/// cycle.
 struct WarpMeta {
     /// `WARP_LIVE | WARP_DONE | WARP_AT_BARRIER` bits; 0 = empty slot.
     /// A warp is schedulable iff its flags are exactly `WARP_LIVE`.
@@ -161,8 +149,8 @@ pub struct Sm {
     /// Resident CTA count (`ctas` slots that are `Some`).
     live_ctas: usize,
     /// Warps currently parked at a barrier; the release pass is skipped
-    /// by the event-driven core while this is zero (it would scan every
-    /// CTA's warp list only to find nothing arrived).
+    /// while this is zero (it would scan every CTA's warp list only to
+    /// find nothing arrived).
     barrier_waiters: usize,
     /// A warp exited since the last retire pass, so a CTA may be
     /// complete; cleared when the pass runs.
@@ -225,7 +213,7 @@ impl Sm {
 
     /// Number of resident CTAs.
     pub fn resident_ctas(&self) -> usize {
-        self.ctas.iter().filter(|c| c.is_some()).count()
+        self.live_ctas
     }
 
     /// Whether the SM has no resident work.
@@ -249,10 +237,6 @@ impl Sm {
     pub fn launch_cta(&mut self, spec: &LaunchSpec, cta_id: Dim3, now: u64) {
         let req = spec.cta_requirements();
         assert!(self.can_accept(&req), "CTA launched onto a full SM");
-        let decoded = spec
-            .uops
-            .clone()
-            .unwrap_or_else(|| Arc::new(DecodedKernel::decode(&spec.kernel, &self.cfg)));
         let threads = spec.launch.threads_per_cta();
         let mut warp_slots = Vec::new();
         let cta_index = self
@@ -277,13 +261,8 @@ impl Sm {
                 .expect("warp slot free (checked by can_accept)");
             self.warps[slot] = Some(WarpSlot {
                 exec: WarpExec::new(spec.kernel.num_regs(), w as u32, mask),
-                scoreboard: Scoreboard::new(),
-                dense: DenseScoreboard::new(spec.kernel.num_regs() as usize),
+                scoreboard: DenseScoreboard::new(spec.kernel.num_regs() as usize),
                 cta: cta_index,
-                age: self.age_counter,
-                done: false,
-                at_barrier: false,
-                block_until: now,
             });
             self.meta.flags[slot] = WARP_LIVE;
             self.meta.age[slot] = self.age_counter;
@@ -299,7 +278,6 @@ impl Sm {
             warp_slots,
             requirements: req,
             spec: spec.clone(),
-            decoded,
         });
         self.warps_used += req.warps;
         self.regs_used += req.registers;
@@ -311,38 +289,15 @@ impl Sm {
     /// instruction issued, otherwise `Some(hint)` — the earliest future
     /// cycle at which something could issue (`u64::MAX` if the SM is
     /// fully idle), enabling event-skipping in the GPU loop.
+    ///
+    /// Calling `step` before that hint is a no-op: every warp is still
+    /// blocked, so the call emits no events and changes no state.
     pub fn step(
         &mut self,
         now: u64,
         global: &mut DeviceMemory,
         sys: &mut MemSystem,
         tracer: &mut dyn Tracer,
-    ) -> Option<u64> {
-        self.step_inner(now, global, sys, tracer, false)
-    }
-
-    /// [`Sm::step`] for the event-driven core: identical scheduling
-    /// decisions, trace events and statistics, but blocked issue attempts
-    /// run against the decode-once μop tables and the dense scoreboard
-    /// instead of re-expanding `Instr` operands — the per-attempt hot
-    /// path allocates nothing.
-    pub fn step_event(
-        &mut self,
-        now: u64,
-        global: &mut DeviceMemory,
-        sys: &mut MemSystem,
-        tracer: &mut dyn Tracer,
-    ) -> Option<u64> {
-        self.step_inner(now, global, sys, tracer, true)
-    }
-
-    fn step_inner(
-        &mut self,
-        now: u64,
-        global: &mut DeviceMemory,
-        sys: &mut MemSystem,
-        tracer: &mut dyn Tracer,
-        fast: bool,
     ) -> Option<u64> {
         let mut issued_any = false;
         let mut hint = u64::MAX;
@@ -355,37 +310,17 @@ impl Sm {
             let mut cand = [(u64::MAX, usize::MAX); 64];
             let mut n = 0;
             let mut wi = sc;
-            if fast {
-                // The event-driven core scans the compact SoA mirror:
-                // three small arrays instead of one multi-KiB WarpSlot
-                // dereference per slot — this loop runs for every
-                // sub-core of every awake SM on every visited cycle.
-                while wi < self.meta.flags.len() {
-                    if self.meta.flags[wi] == WARP_LIVE {
-                        let until = self.meta.block_until[wi];
-                        if until > now {
-                            hint = hint.min(until);
-                        } else {
-                            cand[n] = (self.meta.age[wi], wi);
-                            n += 1;
-                        }
+            while wi < self.meta.flags.len() {
+                if self.meta.flags[wi] == WARP_LIVE {
+                    let until = self.meta.block_until[wi];
+                    if until > now {
+                        hint = hint.min(until);
+                    } else {
+                        cand[n] = (self.meta.age[wi], wi);
+                        n += 1;
                     }
-                    wi += self.cfg.sub_cores;
                 }
-            } else {
-                while wi < self.warps.len() {
-                    if let Some(w) = self.warps[wi].as_ref() {
-                        if !w.done && !w.at_barrier {
-                            if w.block_until > now {
-                                hint = hint.min(w.block_until);
-                            } else {
-                                cand[n] = (w.age, wi);
-                                n += 1;
-                            }
-                        }
-                    }
-                    wi += self.cfg.sub_cores;
-                }
+                wi += self.cfg.sub_cores;
             }
             let cand = &mut cand[..n];
             match self.cfg.scheduler {
@@ -399,8 +334,8 @@ impl Sm {
                 }
                 SchedPolicy::RoundRobin => {
                     // The cursor advances only on steps with candidates,
-                    // so skipping the candidate-free steps (as the
-                    // event-driven loop does) cannot desynchronize it.
+                    // so skipping the candidate-free steps (as the GPU
+                    // loop does) cannot desynchronize it.
                     if n > 0 {
                         cand.rotate_left(self.sub[sc].rr_cursor % n);
                         self.sub[sc].rr_cursor = self.sub[sc].rr_cursor.wrapping_add(1);
@@ -410,12 +345,7 @@ impl Sm {
 
             let mut issued_here = false;
             for &(_, wi) in cand.iter() {
-                let result = if fast {
-                    self.try_issue_fast(sc, wi, now, global, sys, tracer)
-                } else {
-                    self.try_issue(sc, wi, now, global, sys, tracer)
-                };
-                match result {
+                match self.try_issue_warp(sc, wi, now, global, sys, tracer) {
                     IssueResult::Issued => {
                         self.sub[sc].last_issued = Some(wi);
                         issued_here = true;
@@ -433,25 +363,20 @@ impl Sm {
 
         // Barrier release: a CTA whose live warps have all arrived. With
         // no warp parked at a barrier the pass cannot release anything,
-        // so the event-driven core skips it outright.
-        if !fast || self.barrier_waiters > 0 {
-            for c in 0..self.ctas.len() {
-                let Some(cta) = &self.ctas[c] else { continue };
+        // so it is skipped outright.
+        if self.barrier_waiters > 0 {
+            for cta in self.ctas.iter().flatten() {
                 let arrived = cta
                     .warp_slots
                     .iter()
-                    .filter(|&&wi| self.warps[wi].as_ref().is_some_and(|w| w.at_barrier))
+                    .filter(|&&wi| self.meta.flags[wi] & WARP_AT_BARRIER != 0)
                     .count();
                 if arrived > 0 && arrived + cta.warps_done == cta.warps_total {
-                    for &wi in &self.ctas[c].as_ref().expect("checked").warp_slots.clone() {
-                        if let Some(w) = self.warps[wi].as_mut() {
-                            if w.at_barrier {
-                                w.at_barrier = false;
-                                w.block_until = now + 1;
-                                self.meta.flags[wi] &= !WARP_AT_BARRIER;
-                                self.meta.block_until[wi] = now + 1;
-                                self.barrier_waiters -= 1;
-                            }
+                    for &wi in &cta.warp_slots {
+                        if self.meta.flags[wi] & WARP_AT_BARRIER != 0 {
+                            self.meta.flags[wi] &= !WARP_AT_BARRIER;
+                            self.meta.block_until[wi] = now + 1;
+                            self.barrier_waiters -= 1;
                         }
                     }
                     self.stats.barriers += 1;
@@ -462,8 +387,8 @@ impl Sm {
         // Retire completed CTAs and free their resources. `warps_done`
         // only advances when a warp issues its exit, which raises
         // `retire_check`; until then no CTA can newly complete and the
-        // event-driven core skips the scan.
-        if !fast || self.retire_check {
+        // scan is skipped.
+        if self.retire_check {
             for c in 0..self.ctas.len() {
                 let done = self.ctas[c]
                     .as_ref()
@@ -492,7 +417,14 @@ impl Sm {
         }
     }
 
-    fn try_issue(
+    /// Tries to issue warp `wi`'s next instruction on sub-core `sc`.
+    ///
+    /// The blocked paths (unit busy, scoreboard hazard, barrier fence)
+    /// read only the decode-once μop tables and the dense scoreboard: no
+    /// `Arc` clone, no `Vec` expansion, no hashing. A blocked warp sleeps
+    /// until the blocking condition clears; unit-busy and completion times
+    /// are monotone, so that wake time is exact, not a heuristic.
+    fn try_issue_warp(
         &mut self,
         sc: usize,
         wi: usize,
@@ -501,124 +433,78 @@ impl Sm {
         sys: &mut MemSystem,
         tracer: &mut dyn Tracer,
     ) -> IssueResult {
-        let cta_idx = self.warps[wi].as_ref().expect("warp exists").cta;
+        let (cta_idx, pc) = {
+            let w = self.warps[wi].as_ref().expect("warp exists");
+            (w.cta, w.exec.pc)
+        };
         let sm_id = self.id;
         let volta = self.cfg.volta_tensor;
-
-        // Peek the next instruction for hazard/unit checks. The kernel Arc
-        // keeps the instruction reference alive without cloning it (this
-        // is the per-attempt hot path).
-        let (kernel, pc) = {
-            let w = self.warps[wi].as_ref().expect("warp exists");
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            (Arc::clone(&cta.spec.kernel), w.exec.pc)
+        let (uop, timing) = {
+            let decoded = &self.ctas[cta_idx].as_ref().expect("cta exists").spec.uops;
+            (decoded.uops().uop(pc), decoded.timing(pc))
         };
-        let instr = &kernel.instrs()[pc];
 
-        // Functional-unit availability first (cheap). Unit-busy times are
-        // monotone, so sleeping the warp until the observed free time is
-        // exact, not just a heuristic.
-        let unit = instr.op.unit();
-        match unit {
-            UnitClass::Mem => {
-                if self.mio_free > now {
-                    let until = self.mio_free;
-                    self.warps[wi].as_mut().expect("warp exists").block_until = until;
-                    self.meta.block_until[wi] = until;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Structural,
-                            until,
-                        },
-                    });
-                    return IssueResult::Blocked(until);
-                }
-            }
-            UnitClass::Control => {}
+        // Functional-unit availability first (cheap), then RAW/WAW on
+        // in-flight writes, then the barrier fence (a barrier waits for
+        // every outstanding write before arriving).
+        let unit = uop.unit;
+        let blocked = match unit {
+            UnitClass::Mem if self.mio_free > now => Some((self.mio_free, StallReason::Structural)),
+            UnitClass::Mem | UnitClass::Control => None,
             u => {
                 let free = self.sub[sc].unit_free[unit_index(u)];
-                if free > now {
-                    self.warps[wi].as_mut().expect("warp exists").block_until = free;
-                    self.meta.block_until[wi] = free;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Structural,
-                            until: free,
-                        },
-                    });
-                    return IssueResult::Blocked(free);
-                }
+                (free > now).then_some((free, StallReason::Structural))
             }
         }
-
-        // Scoreboard: RAW/WAW on in-flight writes.
-        {
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            w.scoreboard.retire(now);
-            if let Err(hazard) = w.scoreboard.check(instr, volta, now) {
-                w.block_until = hazard.ready;
-                self.meta.block_until[wi] = hazard.ready;
-                // Attribute waits on outstanding loads to the memory
+        .or_else(|| {
+            let uops = self.ctas[cta_idx]
+                .as_ref()
+                .expect("cta exists")
+                .spec
+                .uops
+                .uops();
+            let sb = &self.warps[wi].as_ref().expect("warp exists").scoreboard;
+            match sb.check(uops.uses(pc), uops.defs(pc), now) {
+                // Waits on outstanding loads are attributed to the memory
                 // system rather than plain register dependence.
-                let reason = if hazard.from_mem {
-                    StallReason::Memory
-                } else {
-                    StallReason::Raw
-                };
-                emit(tracer, || TraceEvent {
-                    cycle: now,
-                    sm: sm_id,
-                    kind: EventKind::Stall {
-                        sub_core: sc as u8,
-                        warp: wi as u16,
-                        reason,
-                        until: hazard.ready,
-                    },
-                });
-                return IssueResult::Blocked(hazard.ready);
-            }
-            // Barriers act as execution fences: wait for outstanding
-            // writes before arriving.
-            if matches!(instr.op, Op::Bar) {
-                let clear = w.scoreboard.all_clear_at(now);
-                if clear > now {
-                    w.block_until = clear;
-                    self.meta.block_until[wi] = clear;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Barrier,
-                            until: clear,
-                        },
-                    });
-                    return IssueResult::Blocked(clear);
+                Err(hazard) if hazard.from_mem => Some((hazard.ready, StallReason::Memory)),
+                Err(hazard) => Some((hazard.ready, StallReason::Raw)),
+                Ok(()) if uop.is_bar => {
+                    let clear = sb.all_clear_at(now);
+                    (clear > now).then_some((clear, StallReason::Barrier))
                 }
+                Ok(()) => None,
             }
+        });
+        if let Some((until, reason)) = blocked {
+            self.meta.block_until[wi] = until;
+            emit(tracer, || TraceEvent {
+                cycle: now,
+                sm: sm_id,
+                kind: EventKind::Stall {
+                    sub_core: sc as u8,
+                    warp: wi as u16,
+                    reason,
+                    until,
+                },
+            });
+            return IssueResult::Blocked(until);
         }
 
-        // Only the params Arc and launch dims are needed past this point
-        // — cloning the whole LaunchSpec per issue is measurable.
-        let (params, block, grid) = {
+        // --- Issue: execute functionally, then account timing. Only the
+        // kernel and params Arcs and the launch dims are needed — cloning
+        // the whole LaunchSpec per issue is measurable.
+        let (kernel, params, block, grid) = {
             let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
             (
+                Arc::clone(&cta.spec.kernel),
                 Arc::clone(&cta.spec.params),
                 cta.spec.launch.block,
                 cta.spec.launch.grid,
             )
         };
+        let instr = &kernel.instrs()[pc];
 
-        // --- Issue: execute functionally, then account timing. ---
         let outcome = {
             let w = self.warps[wi].as_mut().expect("warp exists");
             let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
@@ -634,58 +520,25 @@ impl Sm {
             tcsim_isa::exec::step(&mut w.exec, &kernel, &mut env, &self.tensor)
         };
 
-        // Operand collection: register-bank conflicts among source reads.
-        let mut collect = self.cfg.operand_collect;
-        if !(self.cfg.operand_reuse_cache && unit == UnitClass::Tensor) {
-            let mut bank_counts = vec![0u32; self.cfg.reg_banks];
-            for r in instr.use_regs(volta) {
-                bank_counts[r.0 as usize % self.cfg.reg_banks] += 1;
-            }
-            let conflicts = bank_counts
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(1)
-                .saturating_sub(1) as u64;
-            collect += conflicts;
-            self.stats.reg_bank_stalls += conflicts;
-        }
+        // Operand collection: the register-bank conflict count was
+        // precomputed at decode (zero where the reuse cache absorbs it).
+        let collect = self.cfg.operand_collect + timing.bank_conflicts;
+        self.stats.reg_bank_stalls += timing.bank_conflicts;
 
-        // Timing by unit class.
         let ready = match unit {
-            UnitClass::Sp => {
-                let ii = self.cfg.warp_ii(self.cfg.fp32_lanes);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                now + collect + self.cfg.alu_latency + ii
-            }
-            UnitClass::Int => {
-                let ii = self.cfg.warp_ii(self.cfg.int_lanes);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                now + collect + self.cfg.alu_latency + ii
-            }
-            UnitClass::Fp64 => {
-                let ii = self.cfg.warp_ii(self.cfg.fp64_lanes);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                now + collect + self.cfg.fp64_latency + ii
-            }
-            UnitClass::Mufu => {
-                let ii = self.cfg.warp_ii(self.cfg.mufu_lanes);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                now + collect + self.cfg.mufu_latency + ii
+            UnitClass::Sp | UnitClass::Int | UnitClass::Fp64 | UnitClass::Mufu => {
+                self.sub[sc].unit_free[unit_index(unit)] = now + timing.ii;
+                now + collect + timing.latency + timing.ii
             }
             UnitClass::Tensor => {
-                let Op::Wmma(dir) = &instr.op else {
-                    unreachable!("tensor unit ⇒ wmma.mma")
-                };
-                let t = mma_timing(volta, dir);
-                // A warp normally drives two tensor cores (§IV); with
-                // fewer, its HMMA throughput scales down proportionally.
-                let ii = t.initiation_interval as u64 * 2 / (self.cfg.tensor_cores.max(1) as u64);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                let ready = now + collect + t.latency as u64;
+                self.sub[sc].unit_free[unit_index(unit)] = now + timing.ii;
+                let ready = now + collect + timing.latency;
                 if self.profile_wmma {
                     self.push_sample(WmmaKind::Mma, now, ready - now);
                 }
+                let Op::Wmma(dir) = &instr.op else {
+                    unreachable!("tensor unit ⇒ wmma.mma")
+                };
                 // The first HMMA enters the tensor core once operands are
                 // collected, so step completions land at issue + collect +
                 // the Fig 9 cumulative cycles.
@@ -715,14 +568,14 @@ impl Sm {
         });
 
         {
+            let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
+            let defs = cta.spec.uops.uops().defs(pc);
             let w = self.warps[wi].as_mut().expect("warp exists");
-            w.scoreboard.issue(instr, volta, ready);
+            w.scoreboard.issue(defs, ready, unit == UnitClass::Mem);
             match outcome.action {
                 StepAction::Exited => {
-                    w.done = true;
                     self.meta.flags[wi] |= WARP_DONE;
                     self.retire_check = true;
-                    let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
                     cta.warps_done += 1;
                     emit(tracer, || TraceEvent {
                         cycle: now,
@@ -734,233 +587,11 @@ impl Sm {
                     });
                 }
                 StepAction::Barrier => {
-                    w.at_barrier = true;
                     self.meta.flags[wi] |= WARP_AT_BARRIER;
                     self.barrier_waiters += 1;
                 }
                 StepAction::Continue => {}
             }
-        }
-
-        self.stats.issued += 1;
-        self.stats.issued_by_unit[unit_index(unit)] += 1;
-        IssueResult::Issued
-    }
-
-    /// [`Sm::try_issue`] over the decode-once tables: the blocked paths
-    /// (unit busy, scoreboard hazard, barrier fence) read the μop's
-    /// pre-expanded operand spans and the dense scoreboard — no `Arc`
-    /// clone, no `Vec` expansion, no hashing. Stall decisions, emitted
-    /// events and all statistics are identical to the legacy path.
-    fn try_issue_fast(
-        &mut self,
-        sc: usize,
-        wi: usize,
-        now: u64,
-        global: &mut DeviceMemory,
-        sys: &mut MemSystem,
-        tracer: &mut dyn Tracer,
-    ) -> IssueResult {
-        let (cta_idx, pc) = {
-            let w = self.warps[wi].as_ref().expect("warp exists");
-            (w.cta, w.exec.pc)
-        };
-        let sm_id = self.id;
-        let volta = self.cfg.volta_tensor;
-        let (uop, timing) = {
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            (cta.decoded.uops().uop(pc), cta.decoded.timing(pc))
-        };
-
-        // Functional-unit availability (same order and events as the
-        // legacy path).
-        let unit = uop.unit;
-        match unit {
-            UnitClass::Mem => {
-                if self.mio_free > now {
-                    let until = self.mio_free;
-                    self.warps[wi].as_mut().expect("warp exists").block_until = until;
-                    self.meta.block_until[wi] = until;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Structural,
-                            until,
-                        },
-                    });
-                    return IssueResult::Blocked(until);
-                }
-            }
-            UnitClass::Control => {}
-            u => {
-                let free = self.sub[sc].unit_free[unit_index(u)];
-                if free > now {
-                    self.warps[wi].as_mut().expect("warp exists").block_until = free;
-                    self.meta.block_until[wi] = free;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Structural,
-                            until: free,
-                        },
-                    });
-                    return IssueResult::Blocked(free);
-                }
-            }
-        }
-
-        // Scoreboard RAW/WAW over the pre-expanded spans.
-        {
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            let uses = cta.decoded.uops().uses(pc);
-            let defs = cta.decoded.uops().defs(pc);
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            if let Err(hazard) = w.dense.check(uses, defs, now) {
-                w.block_until = hazard.ready;
-                self.meta.block_until[wi] = hazard.ready;
-                let reason = if hazard.from_mem {
-                    StallReason::Memory
-                } else {
-                    StallReason::Raw
-                };
-                emit(tracer, || TraceEvent {
-                    cycle: now,
-                    sm: sm_id,
-                    kind: EventKind::Stall {
-                        sub_core: sc as u8,
-                        warp: wi as u16,
-                        reason,
-                        until: hazard.ready,
-                    },
-                });
-                return IssueResult::Blocked(hazard.ready);
-            }
-            if uop.is_bar {
-                let clear = w.dense.all_clear_at(now);
-                if clear > now {
-                    w.block_until = clear;
-                    self.meta.block_until[wi] = clear;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Barrier,
-                            until: clear,
-                        },
-                    });
-                    return IssueResult::Blocked(clear);
-                }
-            }
-        }
-
-        // --- Issue (off the hot path): exactly the legacy sequence. ---
-        let (kernel, params, block, grid) = {
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            (
-                Arc::clone(&cta.spec.kernel),
-                Arc::clone(&cta.spec.params),
-                cta.spec.launch.block,
-                cta.spec.launch.grid,
-            )
-        };
-        let instr = &kernel.instrs()[pc];
-
-        let outcome = {
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
-            let mut env = ExecEnv {
-                global,
-                shared: &mut cta.shared,
-                params: &params,
-                block,
-                grid,
-                cta: cta.cta_id,
-                clock: now,
-            };
-            tcsim_isa::exec::step(&mut w.exec, &kernel, &mut env, &self.tensor)
-        };
-
-        // Operand collection: the bank-conflict count was precomputed at
-        // decode (zero where the reuse cache absorbs it).
-        let collect = self.cfg.operand_collect + timing.bank_conflicts;
-        self.stats.reg_bank_stalls += timing.bank_conflicts;
-
-        let ready = match unit {
-            UnitClass::Sp | UnitClass::Int | UnitClass::Fp64 | UnitClass::Mufu => {
-                self.sub[sc].unit_free[unit_index(unit)] = now + timing.ii;
-                now + collect + timing.latency + timing.ii
-            }
-            UnitClass::Tensor => {
-                self.sub[sc].unit_free[unit_index(unit)] = now + timing.ii;
-                let ready = now + collect + timing.latency;
-                if self.profile_wmma {
-                    self.push_sample(WmmaKind::Mma, now, ready - now);
-                }
-                let Op::Wmma(dir) = &instr.op else {
-                    unreachable!("tensor unit ⇒ wmma.mma")
-                };
-                trace_mma(
-                    tracer,
-                    volta,
-                    dir,
-                    now + collect,
-                    sm_id,
-                    sc as u8,
-                    wi as u16,
-                );
-                ready
-            }
-            UnitClass::Mem => self.account_memory(instr, &outcome, now, collect, sys, tracer),
-            UnitClass::Control => now + 1,
-        };
-
-        emit(tracer, || TraceEvent {
-            cycle: now,
-            sm: sm_id,
-            kind: EventKind::WarpIssue {
-                sub_core: sc as u8,
-                warp: wi as u16,
-                unit: trace_unit(unit),
-            },
-        });
-
-        {
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            let defs = cta.decoded.uops().defs(pc);
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            w.dense.issue(defs, ready, unit == UnitClass::Mem);
-            match outcome.action {
-                StepAction::Exited => {
-                    w.done = true;
-                    self.meta.flags[wi] |= WARP_DONE;
-                    self.retire_check = true;
-                }
-                StepAction::Barrier => {
-                    w.at_barrier = true;
-                    self.meta.flags[wi] |= WARP_AT_BARRIER;
-                    self.barrier_waiters += 1;
-                }
-                StepAction::Continue => {}
-            }
-        }
-        if matches!(outcome.action, StepAction::Exited) {
-            self.ctas[cta_idx].as_mut().expect("cta exists").warps_done += 1;
-            emit(tracer, || TraceEvent {
-                cycle: now,
-                sm: sm_id,
-                kind: EventKind::WarpRetire {
-                    sub_core: sc as u8,
-                    warp: wi as u16,
-                },
-            });
         }
 
         self.stats.issued += 1;
@@ -1092,14 +723,10 @@ enum IssueResult {
     Blocked(u64),
 }
 
-// `Operand` is referenced by kernels embedded in tests below.
-#[allow(unused_imports)]
-use Operand as _OperandForTests;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcsim_isa::{CmpOp, DataType, KernelBuilder, MemWidth, SpecialReg};
+    use tcsim_isa::{CmpOp, DataType, KernelBuilder, MemWidth, Operand, SpecialReg};
     use tcsim_mem::MemSystemConfig;
 
     use tcsim_trace::{NullTracer, RingTracer};
@@ -1129,10 +756,10 @@ mod tests {
 
     fn spec(kernel: Kernel, launch: LaunchConfig, params: Vec<u8>) -> LaunchSpec {
         LaunchSpec {
+            uops: Arc::new(DecodedKernel::decode(&kernel, &SmConfig::volta())),
             kernel: Arc::new(kernel),
             params: Arc::new(params),
             launch,
-            uops: None,
         }
     }
 
@@ -1424,10 +1051,7 @@ mod tests {
     /// barrier on one SM: 8 warps, two per sub-core, so the scheduler
     /// policy decides the issue order. Returns the full trace, the
     /// counters, the end cycle and the 256 output words.
-    fn run_pinned_kernel(
-        policy: SchedPolicy,
-        stepped: bool,
-    ) -> (Vec<TraceEvent>, SmStats, u64, Vec<u32>) {
+    fn run_pinned_kernel(policy: SchedPolicy) -> (Vec<TraceEvent>, SmStats, u64, Vec<u32>) {
         use tcsim_isa::ByteMemory;
         let mut b = KernelBuilder::new("t");
         let base = b.reg_pair();
@@ -1465,19 +1089,7 @@ mod tests {
         let mut sys = tiny_sys();
         sm.launch_cta(&spec, Dim3::new(0, 0, 0), 0);
         let mut tr = RingTracer::with_capacity(1 << 16);
-        let mut now = 0u64;
-        while !sm.idle() {
-            let hint = if stepped {
-                sm.step(now, &mut global, &mut sys, &mut tr)
-            } else {
-                sm.step_event(now, &mut global, &mut sys, &mut tr)
-            };
-            now = match hint {
-                None => now + 1,
-                Some(h) => h.max(now + 1),
-            };
-            assert!(now < 1_000_000, "SM did not finish");
-        }
+        let now = run_traced(&mut sm, &mut global, &mut sys, &mut tr);
         let words = (0..256u32)
             .map(|i| global.read_u32(buf + 4 * i as u64))
             .collect();
@@ -1495,7 +1107,9 @@ mod tests {
 
     /// The SM-level footprint of [`run_pinned_kernel`] under both
     /// scheduler policies, pinned: event count, event-stream digest,
-    /// counters, end cycle and output words.
+    /// counters, end cycle and output words. The values were recorded
+    /// while the original cycle-stepped issue path still existed and
+    /// agreed with this one.
     #[test]
     fn sm_core_matches_pinned_reference() {
         let expected_stats = SmStats {
@@ -1514,9 +1128,7 @@ mod tests {
             (SchedPolicy::Gto, 436, 0x8e6f_4761_06b3_202f, 447),
             (SchedPolicy::RoundRobin, 440, 0x31bc_3787_398c_a19d, 448),
         ] {
-            let run = run_pinned_kernel(policy, false);
-            let stepped = run_pinned_kernel(policy, true);
-            assert!(run == stepped, "cores disagree ({policy:?})");
+            let run = run_pinned_kernel(policy);
             assert_eq!(run.0.len(), events, "event count ({policy:?})");
             assert_eq!(event_digest(&run.0), digest, "event digest ({policy:?})");
             assert_eq!(run.1, expected_stats, "stats ({policy:?})");

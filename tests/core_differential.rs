@@ -5,8 +5,10 @@
 //! the full trace event stream (each event's `Debug` rendering plus a
 //! newline), and an FNV-1a/128 digest of the output bytes. The file was
 //! written while the event-driven core and the original cycle-stepped
-//! core both existed and agreed on every entry; these tests run both
-//! cores, require them to agree, and compare the result with the file.
+//! core both existed and agreed on every entry. The cycle-stepped core
+//! has since been retired; these tests hold the remaining core to that
+//! frozen reference. Nothing regenerates the file: a change that moves
+//! any entry changes the timing model and must say so.
 //!
 //! Workloads covered here:
 //! * every committed fuzzer corpus case (`tests/corpus/*.case`) — SIMT
@@ -19,7 +21,7 @@
 
 use std::path::Path;
 use tcsim::cutlass::{run_gemm, GemmKernel, GemmPrecision, GemmProblem};
-use tcsim::sim::{CoreModel, Gpu, GpuConfig, LaunchBuilder, SimOptions};
+use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, SimOptions};
 use tcsim::trace::{RingTracer, TraceEvent};
 use tcsim_check::corpus::case_from_text;
 use tcsim_check::oracle::{gpu_config, Case};
@@ -29,7 +31,6 @@ use tcsim_serve::hash::Fnv128;
 const GOLDEN: &str = "tests/golden/core_reference.json";
 
 /// One run's full observable footprint.
-#[derive(PartialEq)]
 struct Footprint {
     stats_json: String,
     events: Vec<TraceEvent>,
@@ -39,6 +40,10 @@ struct Footprint {
 impl Footprint {
     /// This run's golden-file line.
     fn entry(&self, workload: &str) -> String {
+        assert!(
+            !self.events.is_empty(),
+            "{workload}: a traced launch must produce events"
+        );
         let mut trace = Fnv128::new();
         for e in &self.events {
             trace.update(format!("{e:?}\n").as_bytes());
@@ -54,25 +59,8 @@ impl Footprint {
     }
 }
 
-fn gpu_with(cfg: GpuConfig, core: CoreModel) -> Gpu {
-    Gpu::new(
-        SimOptions::new(cfg)
-            .core(core)
-            .tracer(RingTracer::with_capacity(1 << 20)),
-    )
-}
-
-/// Runs `run` on both cores, requires byte-identical footprints and
-/// returns the golden line.
-fn reference(workload: &str, run: impl Fn(CoreModel) -> Footprint) -> String {
-    let event = run(CoreModel::EventDriven);
-    let cycle = run(CoreModel::CycleStepped);
-    assert!(
-        !event.events.is_empty(),
-        "{workload}: a traced launch must produce events"
-    );
-    assert!(event == cycle, "{workload}: the two cores disagree");
-    event.entry(workload)
+fn traced_gpu(cfg: GpuConfig) -> Gpu {
+    Gpu::new(SimOptions::new(cfg).tracer(RingTracer::with_capacity(1 << 20)))
 }
 
 /// Compares the computed lines of one workload group (`corpus/`,
@@ -104,8 +92,8 @@ fn check_group(group: &str, computed: &[String]) {
 }
 
 /// Runs a corpus case, mirroring the oracle driver.
-fn run_case(case: &Case, core: CoreModel) -> Footprint {
-    let mut gpu = gpu_with(gpu_config(case.arch), core);
+fn run_case(case: &Case) -> Footprint {
+    let mut gpu = traced_gpu(gpu_config(case.arch));
     let in_addr = gpu.alloc(u64::from(case.in_words) * 4);
     let out_addr = gpu.alloc(u64::from(case.out_words) * 4);
     gpu.memcpy_h2d(in_addr, &case.input_bytes());
@@ -143,7 +131,7 @@ fn corpus_cases_are_core_model_invariant() {
             let text = std::fs::read_to_string(path).expect("readable case");
             let case = case_from_text(&text).expect("parsable case");
             let stem = path.file_stem().expect("case file name").to_string_lossy();
-            reference(&format!("corpus/{stem}"), |core| run_case(&case, core))
+            run_case(&case).entry(&format!("corpus/{stem}"))
         })
         .collect();
     check_group("corpus/", &entries);
@@ -151,8 +139,8 @@ fn corpus_cases_are_core_model_invariant() {
 
 /// Runs one GEMM; the output is every device byte the run allocated
 /// (operands and result).
-fn run_gemm_on(cfg: &GpuConfig, size: usize, kernel: GemmKernel, core: CoreModel) -> Footprint {
-    let mut gpu = gpu_with(cfg.clone(), core);
+fn run_gemm_on(cfg: &GpuConfig, size: usize, kernel: GemmKernel) -> Footprint {
+    let mut gpu = traced_gpu(cfg.clone());
     let precision = match kernel {
         GemmKernel::Sgemm => GemmPrecision::Fp32,
         GemmKernel::Hgemm => GemmPrecision::Fp16,
@@ -200,9 +188,7 @@ fn gemm_workloads_are_core_model_invariant() {
     let entries: Vec<String> = runs
         .into_iter()
         .map(|(name, cfg, kernel, size)| {
-            reference(&format!("gemm/{name}/{kernel:?}/{size}"), |core| {
-                run_gemm_on(cfg, size, kernel, core)
-            })
+            run_gemm_on(cfg, size, kernel).entry(&format!("gemm/{name}/{kernel:?}/{size}"))
         })
         .collect();
     check_group("gemm/", &entries);
@@ -210,11 +196,11 @@ fn gemm_workloads_are_core_model_invariant() {
 
 /// The pointer-chase microbenchmark: the workload the event core skips
 /// the most steps on (hundreds of blocked cycles per instruction).
-fn run_chase(core: CoreModel) -> Footprint {
+fn run_chase() -> Footprint {
     use tcsim::cutlass::microbench::{chase_chain, pointer_chase};
     let elems: usize = 1 << 12;
     let warps: u64 = 20 * 256 / 32;
-    let mut gpu = gpu_with(GpuConfig::titan_v(), core);
+    let mut gpu = traced_gpu(GpuConfig::titan_v());
     let buf = gpu.alloc(elems as u64 * 8);
     let out = gpu.alloc(warps * 8);
     let chain = chase_chain(elems, 33, buf);
@@ -242,6 +228,5 @@ fn run_chase(core: CoreModel) -> Footprint {
 
 #[test]
 fn pointer_chase_is_core_model_invariant() {
-    let entry = reference("chase/titan_v", run_chase);
-    check_group("chase/", &[entry]);
+    check_group("chase/", &[run_chase().entry("chase/titan_v")]);
 }
