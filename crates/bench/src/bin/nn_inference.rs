@@ -106,7 +106,7 @@ fn main() {
     }
     if let Some(path) = &cli.json {
         let json = json_array(&json_reports);
-        tcsim_trace::validate_json(&json).expect("report JSON must validate");
+        tcsim_trace::json::parse(&json).expect("report JSON must parse");
         write_results(path, &json);
     }
     println!("\nall layers within tolerance of the f32 reference");

@@ -237,7 +237,7 @@ fn main() {
         let run_json: Vec<String> = runs.iter().map(|r| r.to_json()).collect();
         w.raw_field("runs", &format!("[{}]", run_json.join(",")));
         let json = w.finish();
-        tcsim_trace::validate_json(&json).expect("report JSON must validate");
+        tcsim_trace::json::parse(&json).expect("report JSON must parse");
         write_results(path, &json);
     }
 }

@@ -19,8 +19,7 @@ use tcsim_bench::{fnum, print_table};
 use tcsim_cutlass::{run_gemm, GemmKernel, GemmProblem};
 use tcsim_sim::{Gpu, GpuConfig, SimOptions};
 use tcsim_trace::{
-    chrome_trace, hmma_step_timeline, interval_ipc, validate_json, EventKind, RingTracer,
-    TraceSummary,
+    chrome_trace, hmma_step_timeline, interval_ipc, json, EventKind, RingTracer, TraceSummary,
 };
 
 struct ProfArgs {
@@ -82,9 +81,9 @@ fn main() {
         "a WMMA GEMM must emit HMMA set/step events"
     );
 
-    // Chrome trace_event export, validated before it is written.
+    // Chrome trace_event export, parsed back before it is written.
     let chrome = chrome_trace(&events);
-    validate_json(&chrome).expect("chrome trace must be valid JSON");
+    json::parse(&chrome).expect("chrome trace must be valid JSON");
     if let Some(dir) = std::path::Path::new(&args.out).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).expect("create output directory");

@@ -289,6 +289,7 @@ impl WmmaHandler for NoWmma {
     }
 }
 
+#[inline(always)]
 fn value32(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u32 {
     match op {
         Operand::Reg(r) => warp.regs.read(lane, r),
@@ -299,6 +300,7 @@ fn value32(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u32 
     }
 }
 
+#[inline(always)]
 fn value64(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u64 {
     match op {
         Operand::Reg(r) => warp.regs.read(lane, r) as u64,
@@ -311,6 +313,128 @@ fn value64(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u64 
 
 fn f32v(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> f32 {
     f32::from_bits(value32(warp, env, lane, op))
+}
+
+/// The value an integer instruction writes: to its destination register,
+/// its destination register pair, or its destination predicate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IntValue {
+    /// A 32-bit register value.
+    B32(u32),
+    /// A 64-bit register-pair value.
+    B64(u64),
+    /// A predicate value (`setp`).
+    Pred(bool),
+}
+
+/// One lane's source operands, as [`int_alu`] reads them. `None` marks a
+/// value the reader does not know: the executor always knows, while a
+/// static walk knows only the values it has folded.
+pub trait IntSources {
+    /// Source operand `i` at 32-bit width.
+    fn b32(&self, i: usize) -> Option<u32>;
+    /// Source operand `i` at 64-bit width.
+    fn b64(&self, i: usize) -> Option<u64>;
+    /// Source operand `i` as a predicate.
+    fn pred(&self, i: usize) -> Option<bool>;
+}
+
+/// The scalar semantics of the integer instructions, for one lane: moves,
+/// the 32-bit ALU ops, `imad`, the 64-bit adds, `selp`, the integer
+/// `cvt` pairs and the integer `setp` orderings. This is the one
+/// definition both [`step`] and static analyses fold with.
+///
+/// Returns `None` for any other opcode, and when a source the result
+/// depends on is unknown (`selp` reads only the selected source).
+#[inline(always)]
+pub fn int_alu(op: Op, src: &impl IntSources) -> Option<IntValue> {
+    use IntValue::{Pred, B32, B64};
+    Some(match op {
+        Op::Mov => B32(src.b32(0)?),
+        Op::Mov64 => B64(src.b64(0)?),
+        Op::IAdd
+        | Op::ISub
+        | Op::IMul
+        | Op::IMin
+        | Op::IMax
+        | Op::Shl
+        | Op::Shr
+        | Op::Sar
+        | Op::And
+        | Op::Or
+        | Op::Xor => {
+            let (a, b) = (src.b32(0)?, src.b32(1)?);
+            B32(match op {
+                Op::IAdd => a.wrapping_add(b),
+                Op::ISub => a.wrapping_sub(b),
+                Op::IMul => a.wrapping_mul(b),
+                Op::IMin => (a as i32).min(b as i32) as u32,
+                Op::IMax => (a as i32).max(b as i32) as u32,
+                Op::Shl => a.wrapping_shl(b),
+                Op::Shr => a.wrapping_shr(b),
+                Op::Sar => ((a as i32).wrapping_shr(b)) as u32,
+                Op::And => a & b,
+                Op::Or => a | b,
+                _ => a ^ b,
+            })
+        }
+        Op::Not => B32(!src.b32(0)?),
+        Op::IMad => B32(src
+            .b32(0)?
+            .wrapping_mul(src.b32(1)?)
+            .wrapping_add(src.b32(2)?)),
+        Op::IAdd64 => B64(src.b64(0)?.wrapping_add(src.b64(1)?)),
+        Op::IMadWide => B64((src.b32(0)? as u64)
+            .wrapping_mul(src.b32(1)? as u64)
+            .wrapping_add(src.b64(2)?)),
+        Op::SelP => B32(if src.pred(0)? {
+            src.b32(1)?
+        } else {
+            src.b32(2)?
+        }),
+        Op::Cvt { from, to } => match (from, to) {
+            // Same-width integer conversions copy the bits.
+            (DataType::U32, DataType::S32) | (DataType::S32, DataType::U32) => B32(src.b32(0)?),
+            (DataType::U32, DataType::U64) => B64(src.b32(0)? as u64),
+            (DataType::U64, DataType::U32) => B32(src.b64(0)? as u32),
+            _ => return None,
+        },
+        Op::Setp { cmp, ty } => Pred(cmp.eval(match ty {
+            DataType::S32 => (src.b32(0)? as i32).cmp(&(src.b32(1)? as i32)),
+            DataType::U32 => src.b32(0)?.cmp(&src.b32(1)?),
+            DataType::U64 => src.b64(0)?.cmp(&src.b64(1)?),
+            _ => return None,
+        })),
+        _ => return None,
+    })
+}
+
+/// One executing lane's sources: every value is known.
+struct LaneSources<'a, 'e> {
+    warp: &'a WarpExec,
+    env: &'a ExecEnv<'e>,
+    lane: usize,
+    srcs: &'a [Operand],
+}
+
+impl IntSources for LaneSources<'_, '_> {
+    #[inline(always)]
+    fn b32(&self, i: usize) -> Option<u32> {
+        Some(value32(self.warp, self.env, self.lane, self.srcs[i]))
+    }
+
+    #[inline(always)]
+    fn b64(&self, i: usize) -> Option<u64> {
+        Some(value64(self.warp, self.env, self.lane, self.srcs[i]))
+    }
+
+    #[inline(always)]
+    fn pred(&self, i: usize) -> Option<bool> {
+        let Operand::Pred(p) = self.srcs[i] else {
+            panic!("selp pred operand")
+        };
+        Some(self.warp.pred(self.lane, p.0))
+    }
 }
 
 /// Executes the instruction at `warp.pc` and advances architectural state.
@@ -413,72 +537,6 @@ pub fn step(
     // Straight-line instruction: execute on each lane in exec_mask.
     match &instr.op {
         Op::Nop => {}
-        Op::Mov => each_lane(warp, exec_mask, |warp, lane| {
-            let v = value32(warp, env, lane, instr.srcs[0]);
-            warp.regs.write(lane, instr.dst.expect("mov dst"), v);
-        }),
-        Op::Mov64 => each_lane(warp, exec_mask, |warp, lane| {
-            let v = value64(warp, env, lane, instr.srcs[0]);
-            warp.regs.write_pair(lane, instr.dst.expect("mov64 dst"), v);
-        }),
-        Op::IAdd
-        | Op::ISub
-        | Op::IMul
-        | Op::IMin
-        | Op::IMax
-        | Op::Shl
-        | Op::Shr
-        | Op::Sar
-        | Op::And
-        | Op::Or
-        | Op::Xor => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value32(warp, env, lane, instr.srcs[0]);
-            let b = value32(warp, env, lane, instr.srcs[1]);
-            let v = match instr.op {
-                Op::IAdd => a.wrapping_add(b),
-                Op::ISub => a.wrapping_sub(b),
-                Op::IMul => a.wrapping_mul(b),
-                Op::IMin => (a as i32).min(b as i32) as u32,
-                Op::IMax => (a as i32).max(b as i32) as u32,
-                Op::Shl => a.wrapping_shl(b),
-                Op::Shr => a.wrapping_shr(b),
-                Op::Sar => ((a as i32).wrapping_shr(b)) as u32,
-                Op::And => a & b,
-                Op::Or => a | b,
-                _ => a ^ b,
-            };
-            warp.regs.write(lane, instr.dst.expect("alu dst"), v);
-        }),
-        Op::Not => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value32(warp, env, lane, instr.srcs[0]);
-            warp.regs.write(lane, instr.dst.expect("not dst"), !a);
-        }),
-        Op::IMad => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value32(warp, env, lane, instr.srcs[0]);
-            let b = value32(warp, env, lane, instr.srcs[1]);
-            let c = value32(warp, env, lane, instr.srcs[2]);
-            warp.regs.write(
-                lane,
-                instr.dst.expect("imad dst"),
-                a.wrapping_mul(b).wrapping_add(c),
-            );
-        }),
-        Op::IAdd64 => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value64(warp, env, lane, instr.srcs[0]);
-            let b = value64(warp, env, lane, instr.srcs[1]);
-            warp.regs
-                .write_pair(lane, instr.dst.expect("iadd64 dst"), a.wrapping_add(b));
-        }),
-        Op::IMadWide => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value32(warp, env, lane, instr.srcs[0]) as u64;
-            let b = value32(warp, env, lane, instr.srcs[1]) as u64;
-            let c = value64(warp, env, lane, instr.srcs[2]);
-            warp.regs.write_pair(
-                lane,
-                instr.dst.expect("imad.wide dst"),
-                a.wrapping_mul(b).wrapping_add(c),
-            );
-        }),
         Op::FAdd | Op::FMul | Op::FMin | Op::FMax => each_lane(warp, exec_mask, |warp, lane| {
             let a = f32v(warp, env, lane, instr.srcs[0]);
             let b = f32v(warp, env, lane, instr.srcs[1]);
@@ -560,6 +618,10 @@ pub fn step(
             warp.regs
                 .write(lane, instr.dst.expect("hfma2 dst"), a.hfma2(b, c).to_bits());
         }),
+        Op::Cvt {
+            from: DataType::U32 | DataType::S32 | DataType::U64,
+            to: DataType::U32 | DataType::S32 | DataType::U64,
+        } => exec_int(warp, env, instr, exec_mask),
         Op::Cvt { from, to } => each_lane(warp, exec_mask, |warp, lane| {
             let dst = instr.dst.expect("cvt dst");
             let src = instr.srcs[0];
@@ -588,14 +650,6 @@ pub fn step(
                     let v = f32v(warp, env, lane, src).trunc().max(0.0) as u32;
                     warp.regs.write(lane, dst, v);
                 }
-                (DataType::U32, DataType::U64) => {
-                    let v = value32(warp, env, lane, src) as u64;
-                    warp.regs.write_pair(lane, dst, v);
-                }
-                (DataType::U64, DataType::U32) => {
-                    let v = value64(warp, env, lane, src) as u32;
-                    warp.regs.write(lane, dst, v);
-                }
                 (DataType::F32, DataType::F64) => {
                     let v = f32v(warp, env, lane, src) as f64;
                     warp.regs.write_pair(lane, dst, v.to_bits());
@@ -607,44 +661,15 @@ pub fn step(
                 other => panic!("unsupported conversion {other:?}"),
             }
         }),
-        Op::Setp { cmp, ty } => each_lane(warp, exec_mask, |warp, lane| {
+        Op::Setp {
+            cmp,
+            ty: DataType::F32,
+        } => each_lane(warp, exec_mask, |warp, lane| {
+            let a = f32v(warp, env, lane, instr.srcs[0]);
+            let b = f32v(warp, env, lane, instr.srcs[1]);
+            let ord = a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Greater);
             let pd = instr.pred_dst.expect("setp pred dst");
-            let ord = match ty {
-                DataType::S32 => {
-                    let a = value32(warp, env, lane, instr.srcs[0]) as i32;
-                    let b = value32(warp, env, lane, instr.srcs[1]) as i32;
-                    a.cmp(&b)
-                }
-                DataType::U32 => {
-                    let a = value32(warp, env, lane, instr.srcs[0]);
-                    let b = value32(warp, env, lane, instr.srcs[1]);
-                    a.cmp(&b)
-                }
-                DataType::U64 => {
-                    let a = value64(warp, env, lane, instr.srcs[0]);
-                    let b = value64(warp, env, lane, instr.srcs[1]);
-                    a.cmp(&b)
-                }
-                DataType::F32 => {
-                    let a = f32v(warp, env, lane, instr.srcs[0]);
-                    let b = f32v(warp, env, lane, instr.srcs[1]);
-                    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Greater)
-                }
-                other => panic!("unsupported setp type {other}"),
-            };
-            let v = cmp.eval(ord);
-            warp.set_pred(lane, pd.0, v);
-        }),
-        Op::SelP => each_lane(warp, exec_mask, |warp, lane| {
-            let Operand::Pred(p) = instr.srcs[0] else {
-                panic!("selp pred operand")
-            };
-            let v = if warp.pred(lane, p.0) {
-                value32(warp, env, lane, instr.srcs[1])
-            } else {
-                value32(warp, env, lane, instr.srcs[2])
-            };
-            warp.regs.write(lane, instr.dst.expect("selp dst"), v);
+            warp.set_pred(lane, pd.0, cmp.eval(ord));
         }),
         Op::Clock => each_lane(warp, exec_mask, |warp, lane| {
             warp.regs
@@ -693,11 +718,39 @@ pub fn step(
             outcome.mem = exec_wmma(warp, env, instr, dir, wmma);
         }
         Op::Bra | Op::Bar | Op::Exit => unreachable!("handled above"),
+        // Moves, the integer ALU, selp and the integer cvt/setp forms.
+        _ => exec_int(warp, env, instr, exec_mask),
     }
 
     warp.pc = pc + 1;
     check_reconvergence(warp);
     outcome
+}
+
+/// Runs an instruction with integer semantics ([`int_alu`]) on every
+/// lane of `mask`.
+///
+/// Kept out of `step` so the lane loop is register-allocated on its own;
+/// with `int_alu`, the `LaneSources` reads and `value32`/`value64` all
+/// inlined into it, each lane costs no more than a hand-written arm.
+#[inline(never)]
+fn exec_int(warp: &mut WarpExec, env: &ExecEnv<'_>, instr: &Instr, mask: u32) {
+    each_lane(warp, mask, |warp, lane| {
+        let src = LaneSources {
+            warp,
+            env,
+            lane,
+            srcs: &instr.srcs,
+        };
+        match int_alu(instr.op, &src) {
+            Some(IntValue::B32(v)) => warp.regs.write(lane, instr.dst.expect("alu dst"), v),
+            Some(IntValue::B64(v)) => warp.regs.write_pair(lane, instr.dst.expect("alu dst"), v),
+            Some(IntValue::Pred(v)) => {
+                warp.set_pred(lane, instr.pred_dst.expect("setp pred dst").0, v)
+            }
+            None => panic!("unsupported instruction {:?}", instr.op),
+        }
+    });
 }
 
 /// Pops SIMT stack entries whose reconvergence point has been reached.
@@ -1420,6 +1473,21 @@ mod op_semantics_tests {
             b.cvt(d, T::F32, T::U32, O::Reg(s));
         });
         assert_eq!(v, 0, "negative clamps to zero for unsigned");
+    }
+
+    #[test]
+    fn same_width_integer_cvt_copies_bits() {
+        use crate::instr::Operand as O;
+        use crate::types::DataType as T;
+        for (from, to) in [(T::U32, T::S32), (T::S32, T::U32)] {
+            for x in [0u32, 7, 0x8000_0000, u32::MAX] {
+                let v = run_unop_env(|b, d, s| {
+                    b.mov(s, O::Imm(x as i64));
+                    b.cvt(d, from, to, O::Reg(s));
+                });
+                assert_eq!(v, x, "cvt.{to}.{from} of {x:#x}");
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 
 use std::collections::HashMap;
 
+use tcsim_isa::exec::{int_alu, IntSources, IntValue};
 use tcsim_isa::{
-    CmpOp, DataType, FragmentKind, Instr, Kernel, MemSpace, MemWidth, Op, Operand, SpecialReg,
-    UnitClass, WmmaDirective,
+    FragmentKind, Instr, Kernel, MemSpace, MemWidth, Op, Operand, SpecialReg, UnitClass,
+    WmmaDirective,
 };
 use tcsim_sm::{DecodedKernel, SmConfig};
 use tcsim_verify::LaunchGeometry;
@@ -372,146 +373,48 @@ impl Walker<'_> {
         }
     }
 
-    /// Folds the instruction's value semantics into `st`. Mirrors the
-    /// integer subset of `crates/isa/src/exec.rs`; anything it does not
-    /// understand kills its definitions.
+    /// Folds the instruction's value semantics into `st`: integer ops
+    /// through the simulator's own [`int_alu`], plus `ld.param` from the
+    /// parameter buffer; anything else (or any unknown source) kills its
+    /// definitions.
     fn exec(&self, st: &mut St, i: &Instr) {
-        let v32: Option<u32> = match i.op {
-            Op::Mov => self.eval32(st, &i.srcs[0]),
-            Op::IAdd
-            | Op::ISub
-            | Op::IMul
-            | Op::IMin
-            | Op::IMax
-            | Op::Shl
-            | Op::Shr
-            | Op::Sar
-            | Op::And
-            | Op::Or
-            | Op::Xor => match (self.eval32(st, &i.srcs[0]), self.eval32(st, &i.srcs[1])) {
-                (Some(a), Some(b)) => Some(match i.op {
-                    Op::IAdd => a.wrapping_add(b),
-                    Op::ISub => a.wrapping_sub(b),
-                    Op::IMul => a.wrapping_mul(b),
-                    Op::IMin => (a as i32).min(b as i32) as u32,
-                    Op::IMax => (a as i32).max(b as i32) as u32,
-                    Op::Shl => a.wrapping_shl(b),
-                    Op::Shr => a.wrapping_shr(b),
-                    Op::Sar => ((a as i32).wrapping_shr(b)) as u32,
-                    Op::And => a & b,
-                    Op::Or => a | b,
-                    _ => a ^ b,
-                }),
-                _ => None,
-            },
-            Op::Not => self.eval32(st, &i.srcs[0]).map(|a| !a),
-            Op::IMad => match (
-                self.eval32(st, &i.srcs[0]),
-                self.eval32(st, &i.srcs[1]),
-                self.eval32(st, &i.srcs[2]),
-            ) {
-                (Some(a), Some(b), Some(c)) => Some(a.wrapping_mul(b).wrapping_add(c)),
-                _ => None,
-            },
-            Op::SelP => {
-                let Operand::Pred(p) = i.srcs[0] else {
-                    return st.kill_defs(i, self.volta);
-                };
-                match st.preds.get(&p.0) {
-                    Some(true) => self.eval32(st, &i.srcs[1]),
-                    Some(false) => self.eval32(st, &i.srcs[2]),
-                    None => None,
-                }
-            }
-            Op::Cvt {
-                from: DataType::U32,
-                to: DataType::S32,
-            }
-            | Op::Cvt {
-                from: DataType::S32,
-                to: DataType::U32,
-            } => self.eval32(st, &i.srcs[0]),
-            Op::Cvt {
-                from: DataType::U64,
-                to: DataType::U32,
-            } => self.eval64(st, &i.srcs[0]).map(|v| v as u32),
+        let v = match i.op {
             Op::Ld {
                 space: MemSpace::Param,
                 width: MemWidth::B32,
             } => self
                 .param_load(st, i, 4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-            _ => None,
-        };
-
-        let v64: Option<u64> = match i.op {
-            Op::Mov64 => self.eval64(st, &i.srcs[0]),
-            Op::IAdd64 => match (self.eval64(st, &i.srcs[0]), self.eval64(st, &i.srcs[1])) {
-                (Some(a), Some(b)) => Some(a.wrapping_add(b)),
-                _ => None,
-            },
-            Op::IMadWide => match (
-                self.eval32(st, &i.srcs[0]),
-                self.eval32(st, &i.srcs[1]),
-                self.eval64(st, &i.srcs[2]),
-            ) {
-                (Some(a), Some(b), Some(c)) => {
-                    Some((a as u64).wrapping_mul(b as u64).wrapping_add(c))
-                }
-                _ => None,
-            },
-            Op::Cvt {
-                from: DataType::U32,
-                to: DataType::U64,
-            } => self.eval32(st, &i.srcs[0]).map(|v| v as u64),
+                .map(|b| IntValue::B32(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))),
             Op::Ld {
                 space: MemSpace::Param,
                 width: MemWidth::B64,
-            } => self.param_load(st, i, 8).map(u64_from_le),
-            _ => None,
-        };
-
-        let pv: Option<bool> = match i.op {
-            Op::Setp { cmp, ty } => self.fold_setp(st, i, cmp, ty),
-            _ => None,
+            } => self
+                .param_load(st, i, 8)
+                .map(|b| IntValue::B64(u64_from_le(b))),
+            op => int_alu(
+                op,
+                &Folded {
+                    walker: self,
+                    st,
+                    srcs: &i.srcs,
+                },
+            ),
         };
 
         // Write-through: defs first killed, then concrete values bound.
         st.kill_defs(i, self.volta);
-        if let Some(dst) = i.dst {
-            if i.op.writes_pair() {
-                if let Some(v) = v64 {
-                    st.pairs.insert(dst.0, v);
-                }
-            } else if let Some(v) = v32 {
+        match (v, i.dst, i.pred_dst) {
+            (Some(IntValue::B32(v)), Some(dst), _) => {
                 st.regs.insert(dst.0, v);
             }
+            (Some(IntValue::B64(v)), Some(dst), _) => {
+                st.pairs.insert(dst.0, v);
+            }
+            (Some(IntValue::Pred(v)), _, Some(p)) => {
+                st.preds.insert(p.0, v);
+            }
+            _ => {}
         }
-        if let (Some(p), Some(v)) = (i.pred_dst, pv) {
-            st.preds.insert(p.0, v);
-        }
-    }
-
-    fn fold_setp(&self, st: &St, i: &Instr, cmp: CmpOp, ty: DataType) -> Option<bool> {
-        let ord = match ty {
-            DataType::S32 => {
-                let a = self.eval32(st, &i.srcs[0])? as i32;
-                let b = self.eval32(st, &i.srcs[1])? as i32;
-                a.cmp(&b)
-            }
-            DataType::U32 => {
-                let a = self.eval32(st, &i.srcs[0])?;
-                let b = self.eval32(st, &i.srcs[1])?;
-                a.cmp(&b)
-            }
-            DataType::U64 => {
-                let a = self.eval64(st, &i.srcs[0])?;
-                let b = self.eval64(st, &i.srcs[1])?;
-                a.cmp(&b)
-            }
-            _ => return None,
-        };
-        Some(cmp.eval(ord))
     }
 
     /// Reads `bytes` from the parameter buffer for a `ld.param` whose
@@ -527,6 +430,31 @@ impl Walker<'_> {
     }
 }
 
+/// One instruction's sources as the walk knows them: the constants it
+/// has folded, `None` for everything else.
+struct Folded<'a> {
+    walker: &'a Walker<'a>,
+    st: &'a St,
+    srcs: &'a [Operand],
+}
+
+impl IntSources for Folded<'_> {
+    fn b32(&self, i: usize) -> Option<u32> {
+        self.walker.eval32(self.st, self.srcs.get(i)?)
+    }
+
+    fn b64(&self, i: usize) -> Option<u64> {
+        self.walker.eval64(self.st, self.srcs.get(i)?)
+    }
+
+    fn pred(&self, i: usize) -> Option<bool> {
+        match self.srcs.get(i)? {
+            Operand::Pred(p) => self.st.preds.get(&p.0).copied(),
+            _ => None,
+        }
+    }
+}
+
 fn u64_from_le(b: &[u8]) -> u64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(&b[..8]);
@@ -536,7 +464,7 @@ fn u64_from_le(b: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcsim_isa::{KernelBuilder, PredReg};
+    use tcsim_isa::{CmpOp, DataType, KernelBuilder, PredReg};
 
     fn walk(k: &Kernel, geom: &LaunchGeometry, params: &[u8]) -> WalkSummary {
         let sm = SmConfig::volta();
@@ -588,6 +516,149 @@ mod tests {
         assert!(!s.approx, "loop bound should fold from the param buffer");
         // 2 setup + 5×(setp, bra, iadd, bra) + final (setp, taken bra) + exit.
         assert_eq!(s.steps, 2 + 5 * 4 + 2 + 1);
+    }
+
+    #[test]
+    fn folded_integer_ops_match_the_executor() {
+        use tcsim_isa::exec::{run_warp, ExecEnv, NoWmma, WarpExec, FULL_MASK};
+        use tcsim_isa::{Dim3, Instr, Reg, VecMemory};
+
+        // Every op the walk folds computes the trip count of its own
+        // counted loop, from parameter-buffer inputs a = 7, b = 3, c = 2
+        // and the pair w = 5. A walk that wires any operand differently
+        // from the executor unrolls a different number of iterations.
+        let mut b = KernelBuilder::new("alu");
+        let (pa, pb, pc, pw) = (
+            b.param_u32("a"),
+            b.param_u32("b"),
+            b.param_u32("c"),
+            b.param_u64("w"),
+        );
+        let (a, bb, c, w) = (b.reg(), b.reg(), b.reg(), b.reg_pair());
+        b.ld_param(MemWidth::B32, a, pa);
+        b.ld_param(MemWidth::B32, bb, pb);
+        b.ld_param(MemWidth::B32, c, pc);
+        b.ld_param(MemWidth::B64, w, pw);
+        let (n, t, i) = (b.reg(), b.reg(), b.reg());
+        let (wide, wide2) = (b.reg_pair(), b.reg_pair());
+        let (p, q) = (b.pred(), b.pred());
+        let mut trips = Vec::new();
+        let mut count_to = |b: &mut KernelBuilder, trip: u32| {
+            trips.push(trip);
+            b.mov(i, Operand::Imm(0));
+            let head = b.label();
+            let done = b.label();
+            b.place(head);
+            b.setp(q, CmpOp::Ge, DataType::S32, i, Operand::Reg(n));
+            b.bra_if(q, true, done);
+            b.iadd(i, i, Operand::Imm(1));
+            b.bra(head);
+            b.place(done);
+        };
+        let setp64 = |b: &mut KernelBuilder, cmp, x: Reg, y: Reg| {
+            let mut s = Instr::new(Op::Setp {
+                cmp,
+                ty: DataType::U64,
+            })
+            .with_srcs(vec![Operand::RegPair(x), Operand::RegPair(y)]);
+            s.pred_dst = Some(p);
+            b.emit(s);
+        };
+        let emit = |b: &mut KernelBuilder, op: Op, srcs: Vec<Operand>| {
+            b.emit(Instr::new(op).with_dst(n).with_srcs(srcs));
+        };
+        let (ra, rb, rc) = (Operand::Reg(a), Operand::Reg(bb), Operand::Reg(c));
+
+        b.mov(n, ra);
+        count_to(&mut b, 7);
+        b.iadd(n, a, rb);
+        count_to(&mut b, 10);
+        b.isub(n, a, rb);
+        count_to(&mut b, 4);
+        b.imul(n, a, rb);
+        count_to(&mut b, 21);
+        b.imad(n, a, rb, rc);
+        count_to(&mut b, 23);
+        b.shl(n, c, rb);
+        count_to(&mut b, 16);
+        b.shr(n, a, Operand::Imm(1));
+        count_to(&mut b, 3);
+        b.and(n, a, Operand::Imm(13));
+        count_to(&mut b, 5);
+        b.or(n, c, Operand::Imm(9));
+        count_to(&mut b, 11);
+        b.xor(n, a, rb);
+        count_to(&mut b, 4);
+        // t = !b = -4: the signed ops see a negative, the unsigned a huge value.
+        emit(&mut b, Op::Not, vec![rb]);
+        b.mov(t, Operand::Reg(n));
+        b.iadd(n, n, Operand::Imm(10));
+        count_to(&mut b, 6);
+        b.imin(n, t, Operand::Imm(9));
+        b.iadd(n, n, Operand::Imm(12));
+        count_to(&mut b, 8);
+        b.imax(n, t, rc);
+        count_to(&mut b, 2);
+        emit(&mut b, Op::Sar, vec![Operand::Reg(t), Operand::Imm(1)]);
+        b.iadd(n, n, Operand::Imm(9));
+        count_to(&mut b, 7);
+        b.cvt(n, DataType::U32, DataType::S32, ra);
+        count_to(&mut b, 7);
+        b.cvt(n, DataType::S32, DataType::U32, rb);
+        count_to(&mut b, 3);
+        // 64-bit: w = 5 from the parameter buffer, a = 7 widened.
+        b.iadd64(wide, w, Operand::Imm(4));
+        b.cvt(n, DataType::U64, DataType::U32, Operand::RegPair(wide));
+        count_to(&mut b, 9);
+        b.imad_wide(wide, a, rb, w);
+        b.cvt(n, DataType::U64, DataType::U32, Operand::RegPair(wide));
+        count_to(&mut b, 26);
+        b.cvt(wide2, DataType::U32, DataType::U64, ra);
+        b.mov64(wide, Operand::RegPair(wide2));
+        b.iadd64(wide, wide, Operand::RegPair(w));
+        b.cvt(n, DataType::U64, DataType::U32, Operand::RegPair(wide));
+        count_to(&mut b, 12);
+        // selp on each integer setp ordering.
+        b.setp(p, CmpOp::Lt, DataType::S32, t, rc);
+        b.selp(n, p, ra, rb);
+        count_to(&mut b, 7);
+        b.setp(p, CmpOp::Lt, DataType::U32, t, rc);
+        b.selp(n, p, ra, rb);
+        count_to(&mut b, 3);
+        setp64(&mut b, CmpOp::Gt, w, wide2);
+        b.selp(n, p, ra, rc);
+        count_to(&mut b, 2);
+        b.exit();
+        let k = b.build();
+
+        let mut params = vec![0u8; k.param_bytes() as usize];
+        for (name, v) in [("a", 7u64), ("b", 3), ("c", 2), ("w", 5)] {
+            let off = k.param_offset(name) as usize;
+            let bytes = if name == "w" { 8 } else { 4 };
+            params[off..off + bytes].copy_from_slice(&v.to_le_bytes()[..bytes]);
+        }
+        let s = walk(&k, &LaunchGeometry::new((1, 1, 1), (32, 1, 1)), &params);
+        assert!(!s.approx, "every loop bound should fold");
+
+        let (mut global, mut shared) = (VecMemory::new(), VecMemory::new());
+        let mut env = ExecEnv {
+            global: &mut global,
+            shared: &mut shared,
+            params: &params,
+            block: Dim3::x(32),
+            grid: Dim3::x(1),
+            cta: Dim3::new(0, 0, 0),
+            clock: 0,
+        };
+        let mut warp = WarpExec::new(k.num_regs(), 0, FULL_MASK);
+        let executed = run_warp(&mut warp, &k, &mut env, &NoWmma, 10_000);
+        assert_eq!(s.steps, executed as u64);
+
+        // Straight-line code runs once; each 5-instruction loop runs its
+        // mov once, (setp, bra, iadd, bra) per trip and a final setp, bra.
+        let straight = k.instrs().len() - 5 * trips.len();
+        let looped: usize = trips.iter().map(|&n| 3 + 4 * n as usize).sum();
+        assert_eq!(executed, straight + looped);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   [`tcsim_sim::Sweep`] worker pool;
 //! * [`client`] — a blocking client used by the load generator, the CI
 //!   smoke, and the end-to-end determinism gate;
-//! * [`json`] — a byte-exact JSON tree (raw number text, key order
-//!   preserved), so cached stats survive the wire verbatim;
+//! * [`json`] — `tcsim_trace::json` re-exported: the byte-exact JSON
+//!   tree (raw number text, key order preserved) that lets cached stats
+//!   survive the wire verbatim;
 //! * [`hash`] — the std-only FNV-1a/128 hasher behind cache keys and
 //!   output digests.
 //!
@@ -33,7 +34,6 @@ pub mod cache;
 pub mod client;
 pub mod hash;
 pub mod job;
-pub mod json;
 pub mod proto;
 pub mod server;
 
@@ -43,6 +43,7 @@ pub use hash::fnv128_hex;
 pub use job::{ConfigId, InputSpec, JobOutcome, JobSpec};
 pub use proto::{Event, Request, ServerStats};
 pub use server::{ServeOptions, Server};
+pub use tcsim_trace::json;
 
 use tcsim_sim::LaunchStats;
 

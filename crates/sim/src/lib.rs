@@ -32,6 +32,7 @@ pub use gpu::Gpu;
 pub use launch::{LaunchBuilder, LaunchError};
 pub use options::{CoreModel, SimOptions};
 pub use session::{Session, SessionEntry};
-pub use stats::{pearson, Distribution, JsonWriter, LaunchStats};
+pub use stats::{pearson, Distribution, LaunchStats};
 pub use sweep::{HasLaunchStats, Sweep, SweepOutcome, SweepStats};
+pub use tcsim_trace::json::JsonWriter;
 pub use tcsim_verify::{Diagnostic, LaunchGeometry, Severity};

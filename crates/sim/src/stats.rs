@@ -3,6 +3,7 @@
 
 use tcsim_mem::CacheStats;
 use tcsim_sm::{SmStats, WmmaKind};
+use tcsim_trace::json::JsonWriter;
 use tcsim_trace::TraceSummary;
 
 /// Results of one kernel launch.
@@ -59,9 +60,8 @@ impl LaunchStats {
             .collect()
     }
 
-    /// Serializes the statistics as a JSON object (hand-rolled writer, no
-    /// external crates). The WMMA sample list is summarized by count, not
-    /// dumped, to keep result files small.
+    /// Serializes the statistics as a JSON object. The WMMA sample list
+    /// is summarized by count, not dumped, to keep result files small.
     ///
     /// # Example
     ///
@@ -116,87 +116,6 @@ impl LaunchStats {
         }
         w.finish()
     }
-}
-
-/// A minimal JSON object writer (no serde; the crate registry is not
-/// reachable from the build environment). Strings are escaped for the
-/// characters that can occur in kernel/config names.
-#[derive(Debug)]
-pub struct JsonWriter {
-    buf: String,
-    first: bool,
-}
-
-impl JsonWriter {
-    /// Starts an object (`{`).
-    pub fn object() -> JsonWriter {
-        JsonWriter {
-            buf: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn key(&mut self, name: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        self.buf.push('"');
-        self.buf.push_str(&escape_json(name));
-        self.buf.push_str("\":");
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn field_u64(&mut self, name: &str, v: u64) {
-        self.key(name);
-        self.buf.push_str(&v.to_string());
-    }
-
-    /// Adds a float field (non-finite values become `null`).
-    pub fn field_f64(&mut self, name: &str, v: f64) {
-        self.key(name);
-        if v.is_finite() {
-            self.buf.push_str(&format!("{v:.6}"));
-        } else {
-            self.buf.push_str("null");
-        }
-    }
-
-    /// Adds a string field (escaped).
-    pub fn field_str(&mut self, name: &str, v: &str) {
-        self.key(name);
-        self.buf.push('"');
-        self.buf.push_str(&escape_json(v));
-        self.buf.push('"');
-    }
-
-    /// Adds a pre-serialized JSON value (array or object) verbatim.
-    pub fn raw_field(&mut self, name: &str, json: &str) {
-        self.key(name);
-        self.buf.push_str(json);
-    }
-
-    /// Closes the object and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Summary statistics of a latency distribution (Fig 15/16 reporting).
@@ -260,30 +179,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_json_handles_control_chars_and_unicode() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("a\nb\tc\r"), "a\\nb\\tc\\r");
-        // Control characters without a short escape use \uXXXX.
-        assert_eq!(escape_json("\0"), "\\u0000");
-        assert_eq!(escape_json("\x1f"), "\\u001f");
-        assert_eq!(escape_json("\x01\x02"), "\\u0001\\u0002");
-        // Non-ASCII passes through untouched (JSON is UTF-8).
-        assert_eq!(escape_json("gemm-α×β"), "gemm-α×β");
-    }
-
-    #[test]
-    fn field_str_round_trips_through_the_validator() {
-        let mut w = JsonWriter::object();
-        w.field_str("name", "weird\0name\x1fwith\nβ");
-        w.field_str("empty", "");
-        let json = w.finish();
-        tcsim_trace::validate_json(&json).expect("escaped output must parse");
-        assert!(json.contains("\\u0000"));
-        assert!(json.contains("\\u001f"));
-    }
+    use tcsim_trace::json::parse;
 
     #[test]
     fn launch_stats_json_is_valid_with_and_without_trace() {
@@ -297,11 +193,11 @@ mod tests {
             clock_mhz: 1000,
             trace: None,
         };
-        tcsim_trace::validate_json(&s.to_json()).expect("no-trace JSON");
+        parse(&s.to_json()).expect("no-trace JSON");
         assert!(!s.to_json().contains("\"trace\""));
         s.trace = Some(TraceSummary::default());
         let json = s.to_json();
-        tcsim_trace::validate_json(&json).expect("with-trace JSON");
+        parse(&json).expect("with-trace JSON");
         assert!(json.contains("\"trace\":{"));
     }
 

@@ -26,28 +26,11 @@
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::event::{CacheLevel, EventKind, TraceEvent, MEM_SM};
+use crate::json::JsonWriter;
 use std::collections::BTreeMap;
 
 /// The pid used for the shared memory system's pseudo-process.
 pub const MEMORY_PID: u64 = 1_000_000;
-
-/// Escapes a string for inclusion in a JSON string literal, covering
-/// every control character below 0x20.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn complete_event(
     out: &mut Vec<String>,
@@ -58,38 +41,36 @@ fn complete_event(
     dur: u64,
     args: &[(&str, u64)],
 ) {
-    let mut s = format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}",
-        escape(name),
-        escape(cat),
-        track.0,
-        track.1,
-        ts,
-        dur.max(1),
-    );
+    let mut w = JsonWriter::object();
+    w.field_str("name", name);
+    w.field_str("cat", cat);
+    w.field_str("ph", "X");
+    w.field_u64("pid", track.0);
+    w.field_u64("tid", track.1);
+    w.field_u64("ts", ts);
+    w.field_u64("dur", dur.max(1));
     if !args.is_empty() {
-        s.push_str(",\"args\":{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{}", escape(k), v));
+        let mut a = JsonWriter::object();
+        for (k, v) in args {
+            a.field_u64(k, *v);
         }
-        s.push('}');
+        w.raw_field("args", &a.finish());
     }
-    s.push('}');
-    out.push(s);
+    out.push(w.finish());
 }
 
 fn meta_event(out: &mut Vec<String>, what: &str, pid: u64, tid: Option<u64>, name: &str) {
-    let tid_field = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
-    out.push(format!(
-        "{{\"name\":\"{}\",\"ph\":\"M\",\"pid\":{}{},\"args\":{{\"name\":\"{}\"}}}}",
-        what,
-        pid,
-        tid_field,
-        escape(name)
-    ));
+    let mut w = JsonWriter::object();
+    w.field_str("name", what);
+    w.field_str("ph", "M");
+    w.field_u64("pid", pid);
+    if let Some(tid) = tid {
+        w.field_u64("tid", tid);
+    }
+    let mut a = JsonWriter::object();
+    a.field_str("name", name);
+    w.raw_field("args", &a.finish());
+    out.push(w.finish());
 }
 
 /// Renders `events` as a Chrome `trace_event` JSON document.
@@ -285,7 +266,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 mod tests {
     use super::*;
     use crate::event::{StallReason, TraceUnit};
-    use crate::jsonv::validate_json;
+    use crate::json::parse;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -368,7 +349,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json() {
         let json = chrome_trace(&sample_events());
-        validate_json(&json).expect("exporter must emit parseable JSON");
+        parse(&json).expect("exporter must emit parseable JSON");
     }
 
     #[test]
@@ -399,7 +380,7 @@ mod tests {
     #[test]
     fn empty_trace_is_still_valid() {
         let json = chrome_trace(&[]);
-        validate_json(&json).unwrap();
+        parse(&json).unwrap();
         assert!(json.contains("\"traceEvents\":[]"));
     }
 
@@ -408,14 +389,5 @@ mod tests {
         let a = chrome_trace(&sample_events());
         let b = chrome_trace(&sample_events());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("\n\t\r"), "\\n\\t\\r");
-        assert_eq!(escape("\u{0}x\u{1f}"), "\\u0000x\\u001f");
-        assert_eq!(escape("π"), "π");
     }
 }

@@ -1,11 +1,13 @@
-//! A dependency-free JSON value parser and serializer.
+//! The workspace's one JSON codec: a value tree with its parser, an
+//! object writer, and the string escaper both of them use.
 //!
-//! `tcsim-trace` ships a pure *validator* (`validate_json`); the serve
-//! layer additionally needs to read values back out of protocol lines and
-//! cached result files, so this module builds an actual tree. Numbers
-//! keep their source text ([`JsonValue::Num`] stores the raw token), so a
-//! parse → serialize round trip of anything the workspace's `JsonWriter`
-//! emits is byte-exact — `u64` counters above 2^53 survive untouched.
+//! The build environment has no crate registry, so every exporter
+//! hand-rolls its JSON through [`JsonWriter`], and every reader — the
+//! serve protocol, the result cache, and the checks that an exported
+//! trace or report is well formed — goes through [`parse`]. Numbers keep
+//! their source text ([`JsonValue::Num`] stores the raw token), so a
+//! parse → serialize round trip of anything [`JsonWriter`] emits is
+//! byte-exact — `u64` counters above 2^53 survive untouched.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -137,6 +139,10 @@ impl JsonValue {
     }
 }
 
+/// Appends `s` to `out` as a quoted JSON string literal: `"`, `\` and
+/// the short-form controls get their two-character escapes, every other
+/// character below 0x20 becomes `\uXXXX`, and the rest (non-ASCII
+/// included, since JSON is UTF-8) passes through.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -153,6 +159,67 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// A minimal JSON object writer: fields are appended in call order, so
+/// the output is a pure function of the calls made.
+#[derive(Debug)]
+pub struct JsonWriter {
+    buf: String,
+    first: bool,
+}
+
+impl JsonWriter {
+    /// Starts an object (`{`).
+    pub fn object() -> JsonWriter {
+        JsonWriter {
+            buf: String::from("{"),
+            first: true,
+        }
+    }
+
+    fn key(&mut self, name: &str) {
+        if !self.first {
+            self.buf.push(',');
+        }
+        self.first = false;
+        write_string(&mut self.buf, name);
+        self.buf.push(':');
+    }
+
+    /// Adds an unsigned integer field.
+    pub fn field_u64(&mut self, name: &str, v: u64) {
+        self.key(name);
+        self.buf.push_str(&v.to_string());
+    }
+
+    /// Adds a float field (non-finite values become `null`).
+    pub fn field_f64(&mut self, name: &str, v: f64) {
+        self.key(name);
+        if v.is_finite() {
+            self.buf.push_str(&format!("{v:.6}"));
+        } else {
+            self.buf.push_str("null");
+        }
+    }
+
+    /// Adds a string field (escaped).
+    pub fn field_str(&mut self, name: &str, v: &str) {
+        self.key(name);
+        write_string(&mut self.buf, v);
+    }
+
+    /// Adds a pre-serialized JSON value (array or object) verbatim.
+    pub fn raw_field(&mut self, name: &str, json: &str) {
+        self.key(name);
+        self.buf.push_str(json);
+    }
+
+    /// Closes the object and returns the JSON text.
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
+    }
 }
 
 /// A parse failure: message plus byte offset.
@@ -379,14 +446,21 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads exactly four ASCII hex digits (no sign, unlike
+    /// `u32::from_str_radix`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.b.len() {
-            return Err(self.err("truncated \\u escape"));
+        let digits = self
+            .b
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut v = 0;
+        for &d in digits {
+            let digit = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            v = v << 4 | digit;
         }
-        let s =
-            std::str::from_utf8(&self.b[self.pos..end]).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos = end;
         Ok(v)
     }
@@ -403,8 +477,12 @@ impl Parser<'_> {
             }
             p.pos > s
         };
+        let int_start = self.pos;
         if !digits(self) {
             return Err(self.err("expected digits"));
+        }
+        if self.b[int_start] == b'0' && self.pos - int_start > 1 {
+            return Err(self.err("leading zero"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -432,14 +510,27 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn quoted(s: &str) -> String {
+        let mut out = String::new();
+        write_string(&mut out, s);
+        out
+    }
+
     #[test]
     fn scalars_parse() {
         assert_eq!(parse("null").unwrap(), JsonValue::Null);
         assert_eq!(parse("true").unwrap(), JsonValue::Bool(true));
         assert_eq!(parse(" false ").unwrap(), JsonValue::Bool(false));
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        assert_eq!(parse("0").unwrap().as_u64(), Some(0));
+        assert_eq!(parse("-0.5").unwrap().as_f64(), Some(-0.5));
         assert_eq!(parse("-1.5e3").unwrap().as_f64(), Some(-1500.0));
         assert_eq!(parse("\"a\\nb\"").unwrap().as_str(), Some("a\nb"));
+        assert_eq!(parse("-12.5e+3").unwrap().as_f64(), Some(-12500.0));
+        assert_eq!(parse("\"\\u00ff\"").unwrap().as_str(), Some("ÿ"));
+        for ok in ["{}", "[]", " { \"k\" : [ 1 , 2 ] } "] {
+            parse(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
     }
 
     #[test]
@@ -457,6 +548,9 @@ mod tests {
         assert_eq!(v.to_json(), text);
         assert_eq!(v.get("alpha").unwrap().str_field("x"), Some("s"));
         assert_eq!(v.u64_field("zeta"), Some(1));
+        // Nesting below the depth bound is accepted.
+        let deep = "[".repeat(100) + &"]".repeat(100);
+        assert_eq!(parse(&deep).unwrap().to_json(), deep);
     }
 
     #[test]
@@ -468,31 +562,70 @@ mod tests {
         // Surrogate pair.
         let v = parse(r#""\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("😀"));
+        // Escapes written as \uXXXX re-serialize in short form; either
+        // way the tree survives.
+        let v = parse(r#"{"s":"\u0001β\u000a","n":[0.5,-3,1e9]}"#).unwrap();
+        assert_eq!(parse(&v.to_json()).unwrap(), v);
     }
 
     #[test]
     fn malformed_inputs_are_rejected() {
+        let too_deep = "[".repeat(1000) + &"]".repeat(1000);
         for bad in [
             "",
             "{",
             "[1,",
+            "[1,]",
             "{\"a\":}",
+            "{\"a\" 1}",
+            "{} {}",
             "tru",
             "1.",
             "1e",
+            "01",
+            "-007",
             "\"\\x\"",
+            "\"\\u+fff\"",
+            "\"\\u12\"",
             "\"\\ud800\"",
+            "\"a\u{0}b\"",
             "{\"a\":1,\"a\":2}",
             "[1] 2",
             "\"unterminated",
+            too_deep.as_str(),
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
     #[test]
-    fn writer_output_validates() {
-        let v = parse(r#"{"s":"\u0001β","n":[0.5,-3,1e9]}"#).unwrap();
-        tcsim_trace::validate_json(&v.to_json()).expect("round-tripped JSON must validate");
+    fn escaper_handles_control_chars_and_unicode() {
+        assert_eq!(quoted("plain"), "\"plain\"");
+        assert_eq!(quoted("a\"b\\c"), r#""a\"b\\c""#);
+        assert_eq!(quoted("a\nb\tc\r"), r#""a\nb\tc\r""#);
+        // Control characters without a short escape use \uXXXX.
+        assert_eq!(quoted("\0x\x1f"), r#""\u0000x\u001f""#);
+        assert_eq!(quoted("\x01\x02"), r#""\u0001\u0002""#);
+        // Non-ASCII passes through untouched (JSON is UTF-8).
+        assert_eq!(quoted("gemm-α×β"), "\"gemm-α×β\"");
+    }
+
+    #[test]
+    fn writer_output_parses_back() {
+        let mut w = JsonWriter::object();
+        w.field_str("name", "weird\0name\x1fwith\nβ");
+        w.field_str("empty", "");
+        w.field_u64("n", u64::MAX);
+        w.field_f64("x", 0.25);
+        w.field_f64("nan", f64::NAN);
+        w.raw_field("arr", "[1,2]");
+        let json = w.finish();
+        assert!(json.contains("\\u0000"));
+        assert!(json.contains("\\u001f"));
+        let v = parse(&json).expect("writer output must parse");
+        assert_eq!(v.str_field("name"), Some("weird\0name\x1fwith\nβ"));
+        assert_eq!(v.u64_field("n"), Some(u64::MAX));
+        assert_eq!(v.get("nan"), Some(&JsonValue::Null));
+        assert_eq!(v.to_json(), json);
     }
 }

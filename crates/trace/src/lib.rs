@@ -23,12 +23,14 @@
 //! * [`hmma_step_timeline`] — a plain-text Fig 10-style step cadence;
 //! * [`TraceSummary`]/[`interval_ipc`] — derived metrics: per-interval
 //!   IPC, pipeline occupancy and the stall-reason breakdown;
-//! * [`validate_json`] — a dependency-free JSON checker guarding the
-//!   hand-rolled exporters.
+//! * [`json`] — the workspace's one JSON codec: the [`json::JsonValue`]
+//!   tree and its [`json::parse`], the [`json::JsonWriter`] every
+//!   exporter writes with, and the single string escaper behind both.
 //!
 //! This is a leaf crate with no dependencies, so every simulator layer
 //! (`tcsim-mem`, `tcsim-sm`, `tcsim-core`, `tcsim-sim`, `tcsim-bench`)
-//! can emit events without dependency cycles.
+//! can emit events, and every tool can read and write JSON, without
+//! dependency cycles.
 //!
 //! # Example
 //!
@@ -51,14 +53,13 @@
 
 mod chrome;
 mod event;
-mod jsonv;
+pub mod json;
 mod metrics;
 mod timeline;
 mod tracer;
 
 pub use chrome::{chrome_trace, MEMORY_PID};
 pub use event::{CacheLevel, EventKind, StallReason, TraceEvent, TraceUnit, MEM_SM};
-pub use jsonv::validate_json;
 pub use metrics::{interval_ipc, Interval, TraceSummary};
 pub use timeline::hmma_step_timeline;
 pub use tracer::{emit, NullTracer, RingTracer, Tracer, DEFAULT_RING_CAPACITY};

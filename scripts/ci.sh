@@ -10,6 +10,13 @@ cargo build --release --workspace --offline
 echo "== tier-1: test =="
 cargo test -q --workspace --offline
 
+echo "== tier-1: benchmark builds and tests against the workspace crates =="
+# tcbench/ is a package of its own (empty [workspace]) that compiles
+# against the crates' public paths by path dependency; no other stage
+# compiles it, so a moved or renamed re-export would break it silently.
+cargo build --release --offline --manifest-path tcbench/Cargo.toml
+cargo test -q --offline --manifest-path tcbench/Cargo.toml
+
 echo "== lint: rustfmt =="
 cargo fmt --check
 
