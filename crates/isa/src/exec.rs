@@ -289,7 +289,6 @@ impl WmmaHandler for NoWmma {
     }
 }
 
-#[inline(always)]
 fn value32(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u32 {
     match op {
         Operand::Reg(r) => warp.regs.read(lane, r),
@@ -300,7 +299,6 @@ fn value32(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u32 
     }
 }
 
-#[inline(always)]
 fn value64(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u64 {
     match op {
         Operand::Reg(r) => warp.regs.read(lane, r) as u64,
@@ -346,7 +344,6 @@ pub trait IntSources {
 ///
 /// Returns `None` for any other opcode, and when a source the result
 /// depends on is unknown (`selp` reads only the selected source).
-#[inline(always)]
 pub fn int_alu(op: Op, src: &impl IntSources) -> Option<IntValue> {
     use IntValue::{Pred, B32, B64};
     Some(match op {
@@ -418,17 +415,14 @@ struct LaneSources<'a, 'e> {
 }
 
 impl IntSources for LaneSources<'_, '_> {
-    #[inline(always)]
     fn b32(&self, i: usize) -> Option<u32> {
         Some(value32(self.warp, self.env, self.lane, self.srcs[i]))
     }
 
-    #[inline(always)]
     fn b64(&self, i: usize) -> Option<u64> {
         Some(value64(self.warp, self.env, self.lane, self.srcs[i]))
     }
 
-    #[inline(always)]
     fn pred(&self, i: usize) -> Option<bool> {
         let Operand::Pred(p) = self.srcs[i] else {
             panic!("selp pred operand")
@@ -537,6 +531,53 @@ pub fn step(
     // Straight-line instruction: execute on each lane in exec_mask.
     match &instr.op {
         Op::Nop => {}
+        Op::Mov
+        | Op::Mov64
+        | Op::IAdd
+        | Op::ISub
+        | Op::IMul
+        | Op::IMad
+        | Op::IMin
+        | Op::IMax
+        | Op::Shl
+        | Op::Shr
+        | Op::Sar
+        | Op::And
+        | Op::Or
+        | Op::Xor
+        | Op::Not
+        | Op::IAdd64
+        | Op::IMadWide
+        | Op::SelP
+        | Op::Cvt {
+            from: DataType::U32,
+            to: DataType::S32 | DataType::U64,
+        }
+        | Op::Cvt {
+            from: DataType::S32 | DataType::U64,
+            to: DataType::U32,
+        }
+        | Op::Setp {
+            ty: DataType::S32 | DataType::U32 | DataType::U64,
+            ..
+        } => each_lane(warp, exec_mask, |warp, lane| {
+            let src = LaneSources {
+                warp,
+                env,
+                lane,
+                srcs: &instr.srcs,
+            };
+            match int_alu(instr.op, &src) {
+                Some(IntValue::B32(v)) => warp.regs.write(lane, instr.dst.expect("alu dst"), v),
+                Some(IntValue::B64(v)) => {
+                    warp.regs.write_pair(lane, instr.dst.expect("alu dst"), v)
+                }
+                Some(IntValue::Pred(v)) => {
+                    warp.set_pred(lane, instr.pred_dst.expect("setp pred dst").0, v)
+                }
+                None => unreachable!("{:?} has no integer semantics", instr.op),
+            }
+        }),
         Op::FAdd | Op::FMul | Op::FMin | Op::FMax => each_lane(warp, exec_mask, |warp, lane| {
             let a = f32v(warp, env, lane, instr.srcs[0]);
             let b = f32v(warp, env, lane, instr.srcs[1]);
@@ -618,10 +659,6 @@ pub fn step(
             warp.regs
                 .write(lane, instr.dst.expect("hfma2 dst"), a.hfma2(b, c).to_bits());
         }),
-        Op::Cvt {
-            from: DataType::U32 | DataType::S32 | DataType::U64,
-            to: DataType::U32 | DataType::S32 | DataType::U64,
-        } => exec_int(warp, env, instr, exec_mask),
         Op::Cvt { from, to } => each_lane(warp, exec_mask, |warp, lane| {
             let dst = instr.dst.expect("cvt dst");
             let src = instr.srcs[0];
@@ -671,6 +708,7 @@ pub fn step(
             let pd = instr.pred_dst.expect("setp pred dst");
             warp.set_pred(lane, pd.0, cmp.eval(ord));
         }),
+        Op::Setp { ty, .. } => panic!("unsupported setp type {ty}"),
         Op::Clock => each_lane(warp, exec_mask, |warp, lane| {
             warp.regs
                 .write(lane, instr.dst.expect("clock dst"), env.clock as u32);
@@ -718,39 +756,11 @@ pub fn step(
             outcome.mem = exec_wmma(warp, env, instr, dir, wmma);
         }
         Op::Bra | Op::Bar | Op::Exit => unreachable!("handled above"),
-        // Moves, the integer ALU, selp and the integer cvt/setp forms.
-        _ => exec_int(warp, env, instr, exec_mask),
     }
 
     warp.pc = pc + 1;
     check_reconvergence(warp);
     outcome
-}
-
-/// Runs an instruction with integer semantics ([`int_alu`]) on every
-/// lane of `mask`.
-///
-/// Kept out of `step` so the lane loop is register-allocated on its own;
-/// with `int_alu`, the `LaneSources` reads and `value32`/`value64` all
-/// inlined into it, each lane costs no more than a hand-written arm.
-#[inline(never)]
-fn exec_int(warp: &mut WarpExec, env: &ExecEnv<'_>, instr: &Instr, mask: u32) {
-    each_lane(warp, mask, |warp, lane| {
-        let src = LaneSources {
-            warp,
-            env,
-            lane,
-            srcs: &instr.srcs,
-        };
-        match int_alu(instr.op, &src) {
-            Some(IntValue::B32(v)) => warp.regs.write(lane, instr.dst.expect("alu dst"), v),
-            Some(IntValue::B64(v)) => warp.regs.write_pair(lane, instr.dst.expect("alu dst"), v),
-            Some(IntValue::Pred(v)) => {
-                warp.set_pred(lane, instr.pred_dst.expect("setp pred dst").0, v)
-            }
-            None => panic!("unsupported instruction {:?}", instr.op),
-        }
-    });
 }
 
 /// Pops SIMT stack entries whose reconvergence point has been reached.
